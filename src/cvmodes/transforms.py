@@ -63,6 +63,8 @@ class SymplecticTransform:
             raise NonSymplectic(
                 f"matrix shape {mat.shape} does not match {m}-mode registers"
             )
+        if not np.isfinite(mat).all():
+            raise NonSymplectic("matrix has non-finite entries")
         omega = symplectic_form(m)
         dev = np.abs(mat @ omega @ mat.T - omega).max()
         if dev > TOL_SYMPLECTIC:

@@ -94,3 +94,20 @@ def sigma4_reference(a, b, c1, c2, sn=SN):
     blk(1, 2, half * np.array([[0.0, c2], [-c1, 0.0]]))
     blk(1, 3, half * np.diag([c2, c1]))
     return m
+
+
+def random_mixed_cov(rng, n):
+    """Squeezed thermal product state under a Haar-random passive map,
+    in interleaved (X1, Y1, X2, Y2, ...) order."""
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(z)
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    s = np.block([[u.real, -u.imag], [u.imag, u.real]])
+    squeeze = rng.uniform(0.0, 0.4, n)
+    nu = rng.uniform(0.5, 1.3, n)
+    d = np.diag(np.concatenate([nu * np.exp(2 * squeeze),
+                                nu * np.exp(-2 * squeeze)]))
+    cov = s @ d @ s.T
+    order = [k // 2 + (k % 2) * n for k in range(2 * n)]
+    cov = cov[np.ix_(order, order)]
+    return 0.5 * (cov + cov.T)

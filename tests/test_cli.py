@@ -101,6 +101,19 @@ def test_transform_step_error_exit_code(source_file, tmp_path, capsys):
     assert "step 1" in capsys.readouterr().err
 
 
+def test_transform_non_finite_delta_is_numerical_failure(
+        source_file, distribution_cfg, tmp_path, capsys):
+    with open(distribution_cfg) as fh:
+        steps = json.load(fh)["steps"]
+    steps[-1]["delta"] = float("nan")
+    cfg = tmp_path / "nan.json"
+    cfg.write_text(json.dumps({"steps": steps}))
+    assert main(["transform", source_file, "--config", cfg.as_posix()]) == 4
+    err = capsys.readouterr().err
+    assert "non-finite" in err
+    assert "Traceback" not in err
+
+
 def test_analyze_pairs_text(source_file, capsys):
     assert main(["analyze", source_file, "--pairs"]) == 0
     out = capsys.readouterr().out

@@ -77,6 +77,14 @@ def test_symplectic_form_properties():
         assert np.allclose(om @ om, -np.eye(2 * n))
 
 
+def test_symplectic_form_is_cached_and_read_only():
+    om = symplectic_form(3)
+    assert symplectic_form(3) is om
+    assert not om.flags.writeable
+    with pytest.raises(ValueError):
+        om[0, 1] = 2.0
+
+
 # -- standard form -----------------------------------------------------------
 
 def test_standard_form_source_matrix():

@@ -30,7 +30,12 @@ from cvmodes import (
 from cvmodes.entanglement import enumerate_bipartitions
 from cvmodes.errors import IndexOutOfRange, NumericalFailure
 
-from oracles import random_standard_form, std_form_matrix, two_mode_nu
+from oracles import (
+    random_mixed_cov,
+    random_standard_form,
+    std_form_matrix,
+    two_mode_nu,
+)
 
 EXP = StandardFormParams(0.72, 0.72, 0.51, -0.51)
 
@@ -143,6 +148,62 @@ def test_symplectic_eigenvalues_reject_asymmetric():
 def test_symplectic_eigenvalues_reject_indefinite():
     with pytest.raises(NumericalFailure):
         symplectic_eigenvalues(np.diag([1.0, -1.0]))
+
+
+def test_symplectic_eigenvalues_reject_non_finite():
+    for bad in (np.nan, np.inf, -np.inf):
+        sigma = 0.5 * np.eye(4)
+        sigma[1, 1] = bad
+        with pytest.raises(NumericalFailure, match="non-finite"):
+            symplectic_eigenvalues(sigma)
+        stack = np.stack([0.5 * np.eye(4), sigma])
+        with pytest.raises(NumericalFailure, match="non-finite"):
+            symplectic_eigenvalues(stack)
+
+
+def test_symplectic_eigenvalues_stack_rejects_one_bad_slice():
+    good = 0.5 * np.eye(4)
+    indefinite = np.diag([1.0, 1.0, 1.0, -1.0])
+    asymmetric = good.copy()
+    asymmetric[0, 1] = 0.2
+    for bad, reason in ((indefinite, "positive definite"), (asymmetric, "symmetric")):
+        with pytest.raises(NumericalFailure, match=reason):
+            symplectic_eigenvalues(np.stack([good, bad, good]))
+
+
+def random_mixed_states(seed, sizes=(4, 6, 8), per_size=4):
+    rng = np.random.default_rng(seed)
+    for n in sizes:
+        for _ in range(per_size):
+            register = ModeRegister(
+                tuple(ModeLabel("H", k, f"m{k}") for k in range(n))
+            )
+            yield GaussianState(register, np.zeros(2 * n), random_mixed_cov(rng, n))
+
+
+def test_stacked_spectrum_equals_per_slice_calls():
+    for state in random_mixed_states(47):
+        splits = enumerate_bipartitions(state.n_modes)
+        stack = np.stack([partial_transpose(state, s.side_b) for s in splits])
+        stacked = symplectic_eigenvalues(stack)
+        single = np.stack([symplectic_eigenvalues(m) for m in stack])
+        assert np.array_equal(stacked, single)
+        # two leading axes broadcast the same way
+        assert np.array_equal(symplectic_eigenvalues(stack[None]), stacked[None])
+
+
+def test_scan_and_pairwise_map_equal_per_split_verdicts():
+    escalated = 0
+    for state in random_mixed_states(48):
+        for split, verdict in bipartition_scan(state):
+            expected = ppt_verdict(state, split)
+            if expected.status is Status.INCONCLUSIVE:
+                expected = iterative_separability(state, split)
+                escalated += 1
+            assert verdict == expected, split
+        for (i, j), verdict in pairwise_entanglement_map(state).pairwise.items():
+            assert verdict == ppt_verdict(reduce(state, (i, j)), AB), (i, j)
+    assert escalated > 0
 
 
 def test_physical_spectra_respect_shot_noise_floor():

@@ -59,6 +59,9 @@ def test_transform_rejects_non_symplectic():
     reg = two_mode_register()
     with pytest.raises(NonSymplectic):
         SymplecticTransform(np.eye(4) * 2.0, reg, reg)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NonSymplectic, match="non-finite"):
+            SymplecticTransform(np.full((4, 4), bad), reg, reg)
 
 
 def test_identity_apply_is_noop():
