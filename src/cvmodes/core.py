@@ -232,13 +232,18 @@ def make_standard_form(params, register=None):
     Raises
     ------
     PhysicalityViolation
-        If the matrix violates the Heisenberg bound.
+        If a parameter is not finite or the matrix violates the
+        Heisenberg bound.
     """
     if register is None:
         register = two_mode_register()
     if len(register) != 2:
         raise DimensionMismatch("standard form is a two-mode constructor")
     cov = standard_form_matrix(params)
+    if not np.isfinite(cov).all():
+        raise PhysicalityViolation(
+            f"standard-form parameters {params} are not all finite"
+        )
     state = GaussianState(register, np.zeros(4), cov)
     report = validate(state)
     if not report.physical:

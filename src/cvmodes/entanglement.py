@@ -14,7 +14,7 @@ band below the threshold report Separable rather than falsely Entangled.
 """
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
@@ -211,8 +211,84 @@ def ppt_verdict(state, bipartition, band=THRESHOLD_BAND):
 # iterative criterion
 # ---------------------------------------------------------------------------
 
-def _min_eig_herm(a_real, j_block):
-    return float(np.linalg.eigvalsh(a_real - 1j * j_block)[0])
+def _check_iteration_args(max_iter, tol):
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    if tol <= 0:
+        raise ValueError("tol must be > 0")
+
+
+def _split_gammas(cov, splits):
+    # gamma = 2 cov of every split, side-A modes first, in one gather
+    idx = np.array([_quadrature_indices(s.side_a + s.side_b) for s in splits])
+    return 2.0 * cov[idx[:, :, None], idx[:, None, :]]
+
+
+def _gklc(gamma, m, max_iter, tol, band):
+    """GKLC recursion on a stack (k, 2n, 2n) of gamma = 2 cov matrices.
+
+    The first ``m`` modes of every slice form side A.  Returns one
+    (status, iterations) pair per slice, equal to running the recursion
+    on each slice alone: every round makes one stacked eigen-call, one
+    stacked norm and one stacked pseudo-inverse over the slices still
+    without a certificate.  A stalled slice raises ConvergenceStall once
+    the others are decided, for the lowest-indexed stalled slice.
+    """
+    k = gamma.shape[0]
+    a_blk = gamma[:, : 2 * m, : 2 * m]
+    b_blk = gamma[:, 2 * m:, 2 * m:]
+    c_blk = gamma[:, : 2 * m, 2 * m:]
+    j_a = symplectic_form(m)
+    j_b = symplectic_form(gamma.shape[-1] // 2 - m)
+    # gamma = 2 cov, so the physicality floor doubles too
+    ent_eps = 2.0 * band
+
+    out = [(Status.INCONCLUSIVE, max_iter)] * k
+    stalls = {}
+    live = np.arange(k)
+    prev_norm = np.full(k, np.nan)
+    stalled = np.zeros(k, dtype=int)
+    for it in range(1, max_iter + 1):
+        min_a = np.linalg.eigvalsh(a_blk - 1j * j_a)[:, 0]
+        norm_c = np.linalg.norm(c_blk, 2, axis=(-2, -1))
+        floor = min_a
+        above_norm = min_a >= norm_c - 1e-12
+        if it == 1:
+            min_b = np.linalg.eigvalsh(b_blk - 1j * j_b)[:, 0]
+            floor = np.minimum(min_a, min_b)
+            above_norm &= min_b >= norm_c - 1e-12
+        entangled = floor < -ent_eps
+        separable = ~entangled & (
+            above_norm | ((norm_c <= tol) & (floor >= -ent_eps))
+        )
+
+        same = np.abs(prev_norm - norm_c) <= 1e-15 * np.maximum(1.0, norm_c)
+        stalled = np.where(same, stalled + 1, 0)
+        stuck = ~entangled & ~separable & (stalled >= 10)
+        for j in np.flatnonzero(entangled):
+            out[live[j]] = (Status.ENTANGLED, it)
+        for j in np.flatnonzero(separable):
+            out[live[j]] = (Status.SEPARABLE, it)
+        for j in np.flatnonzero(stuck):
+            stalls[live[j]] = ConvergenceStall(
+                f"correlation norm stuck at {norm_c[j]:.3e} after {it} "
+                "iterations with no certificate"
+            )
+
+        keep = ~(entangled | separable | stuck)
+        if not keep.any():
+            break
+        live, prev_norm, stalled = live[keep], norm_c[keep], stalled[keep]
+        a_blk, b_blk, c_blk = a_blk[keep], b_blk[keep], c_blk[keep]
+        x = c_blk @ np.linalg.pinv(b_blk - 1j * j_b, hermitian=True) \
+            @ np.swapaxes(c_blk, -1, -2)
+        a_blk = a_blk - x.real
+        b_blk = a_blk
+        c_blk = -x.imag
+        j_b = j_a
+    if stalls:
+        raise stalls[min(stalls)]
+    return out
 
 
 def iterative_separability(
@@ -221,8 +297,6 @@ def iterative_separability(
     max_iter=DEFAULT_MAX_ITER,
     tol=DEFAULT_ITER_TOL,
     band=THRESHOLD_BAND,
-    *,
-    _spectrum=None,
 ):
     """Operational separability decision for any MxN bipartition.
 
@@ -246,69 +320,21 @@ def iterative_separability(
 
     The verdict carries the partial-transpose witness and log-negativity
     as diagnostics; agreement with :func:`ppt_verdict` wherever that one
-    is conclusive is part of this function's contract.  ``_spectrum`` is
-    private: :func:`bipartition_scan` passes the partially transposed
-    spectrum it has already computed for this split.
+    is conclusive is part of this function's contract.  One stacked
+    implementation of the recursion serves this function (a stack of one)
+    and :func:`bipartition_scan` (all its escalated splits at once), so
+    both give the same verdict, bit for bit, on the same split.
     """
     _check_covering(bipartition, state.n_modes)
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-
-    nu = _spectrum
-    if nu is None:
-        nu = symplectic_eigenvalues(partial_transpose(state, bipartition.side_b))
-    witness = float(nu[0])
-    logneg = log_negativity_from_spectrum(nu)
-
-    idx = _quadrature_indices(bipartition.side_a + bipartition.side_b)
-    gamma = 2.0 * state.cov[np.ix_(idx, idx)]
-    m = len(bipartition.side_a)
-    a_blk = gamma[: 2 * m, : 2 * m].copy()
-    b_blk = gamma[2 * m:, 2 * m:].copy()
-    c_blk = gamma[: 2 * m, 2 * m:].copy()
-    j_a = symplectic_form(m)
-    j_b = symplectic_form(len(bipartition.side_b))
-    # gamma = 2 cov, so the physicality floor doubles too
-    ent_eps = 2.0 * band
-
-    def _verdict(status, iterations):
-        return EntanglementVerdict(status, witness, logneg, Method.ITERATIVE,
-                                   iterations=iterations)
-
-    prev_norm = None
-    stalled = 0
-    for it in range(1, max_iter + 1):
-        min_a = _min_eig_herm(a_blk, j_a)
-        norm_c = float(np.linalg.norm(c_blk, 2))
-        mins = [min_a]
-        if it == 1:
-            mins.append(_min_eig_herm(b_blk, j_b))
-        if min(mins) < -ent_eps:
-            return _verdict(Status.ENTANGLED, it)
-        if all(v >= norm_c - 1e-12 for v in mins):
-            return _verdict(Status.SEPARABLE, it)
-        if norm_c <= tol and min(mins) >= -ent_eps:
-            return _verdict(Status.SEPARABLE, it)
-
-        if prev_norm is not None and abs(prev_norm - norm_c) <= 1e-15 * max(1.0, norm_c):
-            stalled += 1
-            if stalled >= 10:
-                raise ConvergenceStall(
-                    f"correlation norm stuck at {norm_c:.3e} after {it} "
-                    "iterations with no certificate"
-                )
-        else:
-            stalled = 0
-        prev_norm = norm_c
-
-        x = c_blk @ np.linalg.pinv(b_blk - 1j * j_b, hermitian=True) @ c_blk.T
-        a_blk = a_blk - x.real
-        b_blk = a_blk.copy()
-        c_blk = -x.imag
-        j_b = j_a
-    return _verdict(Status.INCONCLUSIVE, max_iter)
+    _check_iteration_args(max_iter, tol)
+    nu = symplectic_eigenvalues(partial_transpose(state, bipartition.side_b))
+    ppt = _ppt_from_spectrum(nu, bipartition, band)
+    gamma = _split_gammas(state.cov, [bipartition])
+    [(status, iterations)] = _gklc(
+        gamma, len(bipartition.side_a), max_iter, tol, band
+    )
+    return replace(ppt, status=status, method=Method.ITERATIVE,
+                   iterations=iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +391,13 @@ def bipartition_scan(
 
     The partial transpose runs first, with the spectra of all splits
     computed in one stacked call; splits it leaves Inconclusive are
-    escalated to the iterative criterion.  Registers larger than 8 modes
-    are refused (the enumeration is exhaustive).
+    escalated to the iterative criterion.  Escalated splits with the same
+    side-A size share one stacked run of the recursion, which gives each
+    split the verdict :func:`iterative_separability` gives it alone.
+    Registers larger than 8 modes are refused (the enumeration is
+    exhaustive).
     """
+    _check_iteration_args(max_iter, tol)
     n = state.n_modes
     if n > 8:
         raise IndexOutOfRange("bipartition scan is limited to 8 modes")
@@ -378,13 +408,18 @@ def bipartition_scan(
     spectra = symplectic_eigenvalues(
         state.cov * (signs[:, :, None] * signs[:, None, :])
     )
-    results = []
-    for split, nu in zip(splits, spectra):
-        verdict = _ppt_from_spectrum(nu, split, band)
-        if verdict.status is Status.INCONCLUSIVE:
-            verdict = iterative_separability(
-                state, split, max_iter=max_iter, tol=tol, band=band,
-                _spectrum=nu,
-            )
-        results.append((split, verdict))
-    return results
+    verdicts, escalated = [], {}
+    for k, (split, nu) in enumerate(zip(splits, spectra)):
+        verdicts.append(_ppt_from_spectrum(nu, split, band))
+        if verdicts[k].status is Status.INCONCLUSIVE:
+            escalated.setdefault(len(split.side_a), []).append(k)
+    # groups come in enumeration order, so the first stall raised is the
+    # one a split-by-split loop would have raised
+    for m, rows in escalated.items():
+        gamma = _split_gammas(state.cov, [splits[k] for k in rows])
+        for k, (status, iterations) in zip(
+            rows, _gklc(gamma, m, max_iter, tol, band)
+        ):
+            verdicts[k] = replace(verdicts[k], status=status,
+                                  method=Method.ITERATIVE, iterations=iterations)
+    return list(zip(splits, verdicts))

@@ -47,6 +47,38 @@ ANALYSES = ("validate", "pairwise", "scan", "purity", "photons")
 STEP_OPS = ("waveplate", "embed", "qplate", "reorder")
 
 
+_INTEGER = (int, np.integer)
+_REAL = (int, float, np.integer, np.floating)
+
+
+def _is_number(value, kind=_REAL):
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _check_step_fields(step, where):
+    op = step["op"]
+    if op == "qplate":
+        for name in ("q", "delta"):
+            if not _is_number(step.get(name)):
+                raise ParseError(f"{where}: qplate needs a number {name!r}")
+    elif op == "embed":
+        modes = step.get("modes")
+        if not isinstance(modes, list) or not all(
+            isinstance(m, dict) and {"polarization", "oam", "tag"} <= m.keys()
+            for m in modes
+        ):
+            raise ParseError(
+                f"{where}: embed needs 'modes', a list of objects with "
+                "polarization, oam and tag"
+            )
+    elif op == "reorder":
+        order = step.get("order")
+        if not isinstance(order, list) or not all(
+            _is_number(k, _INTEGER) for k in order
+        ):
+            raise ParseError(f"{where}: reorder needs 'order', a list of integers")
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     source: dict
@@ -75,6 +107,7 @@ class PipelineConfig:
                     f"{where}.steps[{k}].op must be one of {STEP_OPS}, "
                     f"got {step['op']!r}"
                 )
+            _check_step_fields(step, f"{where}.steps[{k}]")
             steps.append(dict(step))
         analyses = []
         for name in data.get("analyses", []):

@@ -114,6 +114,20 @@ def test_transform_non_finite_delta_is_numerical_failure(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("step", [
+    {"op": "qplate", "delta": 1.0},
+    {"op": "reorder", "order": "ab"},
+])
+def test_transform_malformed_step_is_parse_error(source_file, tmp_path, capsys,
+                                                 step):
+    cfg = tmp_path / "malformed.json"
+    cfg.write_text(json.dumps({"steps": [step]}))
+    assert main(["transform", source_file, "--config", cfg.as_posix()]) == 2
+    err = capsys.readouterr().err
+    assert "steps[0]" in err
+    assert "Traceback" not in err
+
+
 def test_analyze_pairs_text(source_file, capsys):
     assert main(["analyze", source_file, "--pairs"]) == 0
     out = capsys.readouterr().out

@@ -14,7 +14,7 @@ from cvmodes import (
     run_pipeline,
     sigma4_closed_form,
 )
-from cvmodes.errors import ParseError, PipelineStepError
+from cvmodes.errors import ParseError, PhysicalityViolation, PipelineStepError
 from cvmodes.pipeline import PipelineConfig, reproduce_paper_json
 
 EXP = StandardFormParams(0.72, 0.72, 0.51, -0.51)
@@ -98,6 +98,35 @@ def test_failing_step_wrapped_with_index():
     assert err.value.step_index == 2
     assert err.value.step_name == "qplate"
     assert "UnpairedMode" in str(err.value)
+
+
+@pytest.mark.parametrize("source", [
+    {"kind": "opo", "r": float("nan")},
+    {"kind": "opo", "r": float("inf")},
+    {**EXP_SOURCE, "a": float("nan")},
+])
+def test_non_finite_source_parameters_fail_at_step_zero(source):
+    with pytest.raises(PipelineStepError) as err:
+        run_pipeline(distribution_config(source=source))
+    assert err.value.step_index == 0
+    assert isinstance(err.value.cause, PhysicalityViolation)
+    assert "not all finite" in str(err.value)
+
+
+def test_step_fields_are_checked_when_parsed():
+    bad_steps = [
+        {"op": "qplate", "delta": 1.0},
+        {"op": "qplate", "q": 0.5},
+        {"op": "qplate", "q": "half", "delta": 1.0},
+        {"op": "embed"},
+        {"op": "embed", "modes": [{"tag": "a~", "oam": 1}]},
+        {"op": "reorder"},
+        {"op": "reorder", "order": "ab"},
+        {"op": "reorder", "order": [0, 1.5]},
+    ]
+    for step in bad_steps:
+        with pytest.raises(ParseError, match=r"steps\[0\]"):
+            PipelineConfig.from_dict({"steps": [step]})
 
 
 def test_run_is_deterministic():
