@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Subcommands: ``validate``, ``transform``, ``analyze``, ``reproduce-paper``.
-Exit codes: 0 success, 2 parse/validation error, 3 pipeline step error,
-4 numerical failure.  Analysis verdicts are data and never affect the
-exit code.
+A failure prints one ``error:`` line and exits with the ``exit_code`` its
+:class:`~cvmodes.errors.CVModesError` class carries: 2 parse/validation
+error, 3 pipeline step error, 4 numerical failure.  A file that cannot
+be opened, read or written (missing, a directory) also exits 2.
+Analysis verdicts are data and never affect the exit code.
 """
 
 import argparse
@@ -12,24 +14,7 @@ import sys
 
 from .core import purity, total_photon_number, validate
 from .entanglement import THRESHOLD_BAND
-from .errors import (
-    BadPolarization,
-    ConvergenceStall,
-    ConventionMismatch,
-    DimensionMismatch,
-    DuplicateIndex,
-    DuplicateLabel,
-    IndexOutOfRange,
-    NonPositiveDeterminant,
-    NonSymplectic,
-    NotAPermutation,
-    NotCircular,
-    NumericalFailure,
-    ParseError,
-    PhysicalityViolation,
-    PipelineStepError,
-    UnpairedMode,
-)
+from .errors import CVModesError, ParseError
 from .io import load_cov_csv, load_state, parse_register_spec, save_state, state_to_dict
 from .pipeline import (
     PipelineConfig,
@@ -42,29 +27,6 @@ from .pipeline import (
 
 EXIT_OK = 0
 EXIT_PARSE = 2
-EXIT_STEP = 3
-EXIT_NUMERICAL = 4
-
-_PARSE_ERRORS = (
-    ParseError,
-    ConventionMismatch,
-    PhysicalityViolation,
-    DimensionMismatch,
-    DuplicateIndex,
-    DuplicateLabel,
-    IndexOutOfRange,
-    NotAPermutation,
-    BadPolarization,
-    NotCircular,
-    UnpairedMode,
-    FileNotFoundError,
-)
-_NUMERICAL_ERRORS = (
-    NumericalFailure,
-    ConvergenceStall,
-    NonPositiveDeterminant,
-    NonSymplectic,
-)
 
 
 def _load_input(args, require_physical=True):
@@ -203,16 +165,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PipelineStepError as exc:
+    except CVModesError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        cause = exc.cause
-        if isinstance(cause, _NUMERICAL_ERRORS):
-            return EXIT_NUMERICAL
-        return EXIT_STEP
-    except _NUMERICAL_ERRORS as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_NUMERICAL
-    except _PARSE_ERRORS as exc:
+        return exc.exit_code
+    except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_PARSE
 

@@ -61,8 +61,8 @@ class ModeLabel:
         if not isinstance(self.oam, (int, np.integer)) or isinstance(self.oam, bool):
             raise ValueError(f"oam must be an integer, got {self.oam!r}")
         object.__setattr__(self, "oam", int(self.oam))
-        if not self.tag:
-            raise ValueError("tag must be a nonempty string")
+        if not isinstance(self.tag, str) or not self.tag:
+            raise ValueError(f"tag must be a nonempty string, got {self.tag!r}")
 
     @property
     def is_circular(self):

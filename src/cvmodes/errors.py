@@ -1,13 +1,17 @@
 """Exception hierarchy for the cvmodes package.
 
 Every error raised by the library derives from :class:`CVModesError` so
-callers can catch the whole family with one clause.  The CLI maps these
-onto process exit codes (see :mod:`cvmodes.cli`).
+callers can catch the whole family with one clause.  Each class carries
+the process exit code the CLI returns for it in ``exit_code``: 2 for bad
+input (the default), 3 for a failed pipeline step, 4 for a numerical
+failure.
 """
 
 
 class CVModesError(Exception):
     """Base class for all cvmodes errors."""
+
+    exit_code = 2
 
 
 # -- state construction / inspection ---------------------------------------
@@ -43,6 +47,8 @@ class NotAPermutation(CVModesError):
 class NonPositiveDeterminant(CVModesError):
     """det(cov) <= 0; the matrix cannot describe a Gaussian state."""
 
+    exit_code = 4
+
 
 # -- transforms -------------------------------------------------------------
 
@@ -52,6 +58,8 @@ class RegisterMismatch(CVModesError):
 
 class NonSymplectic(CVModesError):
     """Matrix fails S Omega S^T = Omega within tolerance."""
+
+    exit_code = 4
 
 
 class BadPolarization(CVModesError):
@@ -75,9 +83,13 @@ class NotCircular(CVModesError):
 class NumericalFailure(CVModesError):
     """An eigenvalue computation produced structurally invalid results."""
 
+    exit_code = 4
+
 
 class ConvergenceStall(CVModesError):
     """Iterative criterion stopped making progress without a certificate."""
+
+    exit_code = 4
 
 
 # -- file formats and pipeline ----------------------------------------------
@@ -91,7 +103,12 @@ class ConventionMismatch(CVModesError):
 
 
 class PipelineStepError(CVModesError):
-    """A pipeline step failed; wraps the underlying module error."""
+    """A pipeline step failed; wraps the underlying module error.
+
+    Exits with 3, or with 4 when the cause is a numerical failure.
+    """
+
+    exit_code = 3
 
     def __init__(self, step_index, step_name, cause):
         super().__init__(
@@ -101,3 +118,5 @@ class PipelineStepError(CVModesError):
         self.step_index = step_index
         self.step_name = step_name
         self.cause = cause
+        if getattr(cause, "exit_code", None) == 4:
+            self.exit_code = 4

@@ -11,24 +11,19 @@
   breaks symmetry (the closed form forces 0 there).
 """
 
-import json
 from importlib import resources
 
 import numpy as np
 
 from ..errors import ParseError
-from ..io import state_from_dict
+from ..io import read_json, state_from_dict
 
 STATE_FIXTURES = ("sigma2_exp", "vacuum4")
 MATRIX_FIXTURES = ("sigma4_exact", "sigma4_printed")
 
 
 def _read(name):
-    ref = resources.files(__package__).joinpath(f"{name}.json")
-    try:
-        return json.loads(ref.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ParseError(f"no bundled fixture named {name!r}") from None
+    return read_json(resources.files(__package__).joinpath(f"{name}.json"))
 
 
 def load_state_fixture(name):

@@ -36,28 +36,33 @@ def state_to_dict(state):
 
 
 def _require(mapping, key, where):
+    if not isinstance(mapping, dict):
+        raise ParseError(f"{where} must be an object")
     if key not in mapping:
         raise ParseError(f"missing section {key!r} in {where}")
     return mapping[key]
 
 
-def _parse_register(entries):
+def _parse_register(entries, where="register"):
+    """Build a register from a list of ``{tag, polarization, oam}`` objects."""
+    if not isinstance(entries, list):
+        raise ParseError(f"{where} must be a list of modes")
     modes = []
     for k, entry in enumerate(entries):
         try:
             modes.append(
                 ModeLabel(
-                    _require(entry, "polarization", f"register[{k}]"),
-                    _require(entry, "oam", f"register[{k}]"),
-                    _require(entry, "tag", f"register[{k}]"),
+                    _require(entry, "polarization", f"{where}[{k}]"),
+                    _require(entry, "oam", f"{where}[{k}]"),
+                    _require(entry, "tag", f"{where}[{k}]"),
                 )
             )
         except (ValueError, TypeError) as exc:
-            raise ParseError(f"register[{k}]: {exc}") from exc
+            raise ParseError(f"{where}[{k}]: {exc}") from exc
     try:
         return ModeRegister(tuple(modes))
     except Exception as exc:
-        raise ParseError(f"register: {exc}") from exc
+        raise ParseError(f"{where}: {exc}") from exc
 
 
 def state_from_dict(data, require_physical=True, rescale=False, where="state"):
@@ -76,8 +81,8 @@ def state_from_dict(data, require_physical=True, rescale=False, where="state"):
         sn = float(sn)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{where}.convention.sn: not a number") from exc
-    if sn <= 0:
-        raise ParseError(f"{where}.convention.sn must be > 0, got {sn}")
+    if not 0 < sn < math.inf:
+        raise ParseError(f"{where}.convention.sn must be finite and > 0, got {sn}")
     if ordering != ORDERING:
         raise ConventionMismatch(
             f"unsupported quadrature ordering {ordering!r}; this toolkit "
@@ -133,17 +138,24 @@ def state_from_dict(data, require_physical=True, rescale=False, where="state"):
     return state
 
 
+def read_json(path):
+    """Decode a UTF-8 JSON file; undecodable content raises ParseError."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except json.JSONDecodeError as exc:
+        raise ParseError(
+            f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
+    except ValueError as exc:  # not UTF-8, or an over-long integer literal
+        raise ParseError(f"{path}: {exc}") from exc
+
+
 def load_state(path, require_physical=True, rescale=False):
     """Load a state file; see :func:`state_from_dict` for the knobs."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(
-                f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
     return state_from_dict(
-        data, require_physical=require_physical, rescale=rescale, where=str(path)
+        read_json(path), require_physical=require_physical, rescale=rescale,
+        where=str(path),
     )
 
 
@@ -161,14 +173,17 @@ def load_cov_csv(path, register, require_physical=True):
     canonical convention is assumed.
     """
     rows = []
-    with open(path, encoding="utf-8", newline="") as handle:
-        for lineno, row in enumerate(csv.reader(handle), start=1):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError as exc:
-                raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+    try:
+        with open(path, encoding="utf-8", newline="") as handle:
+            for lineno, row in enumerate(csv.reader(handle), start=1):
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                try:
+                    rows.append([float(cell) for cell in row])
+                except ValueError as exc:
+                    raise ParseError(f"{path}: line {lineno}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     n = len(register)
     if len(rows) != 2 * n or any(len(r) != 2 * n for r in rows):
         raise ParseError(
@@ -189,19 +204,17 @@ def load_cov_csv(path, register, require_physical=True):
 
 def parse_register_spec(spec):
     """Parse a CLI register spec like ``a:H:0,b:V:0`` into a register."""
-    modes = []
+    entries = []
     for part in spec.split(","):
         fields = part.strip().split(":")
         if len(fields) != 3:
             raise ParseError(
                 f"register spec entry {part!r} is not tag:polarization:oam"
             )
-        tag, pol, oam = fields
+        tag, polarization, oam = fields
         try:
-            modes.append(ModeLabel(pol, int(oam), tag))
-        except ValueError as exc:
-            raise ParseError(f"register spec entry {part!r}: {exc}") from exc
-    try:
-        return ModeRegister(tuple(modes))
-    except Exception as exc:
-        raise ParseError(f"register spec: {exc}") from exc
+            oam = int(oam)
+        except ValueError:
+            pass  # ModeLabel rejects the string as a non-integer OAM
+        entries.append({"tag": tag, "polarization": polarization, "oam": oam})
+    return _parse_register(entries, where="register spec")

@@ -11,13 +11,13 @@ eigenvalue floor so that physicality regressions are visible immediately.
 import json
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import fixtures
 from .core import (
     GaussianState,
-    ModeLabel,
     StandardFormParams,
     make_standard_form,
     purity,
@@ -33,7 +33,7 @@ from .entanglement import (
     pairwise_entanglement_map,
 )
 from .errors import CVModesError, ParseError, PipelineStepError
-from .io import load_state
+from .io import _parse_register, load_state, read_json
 from .transforms import (
     QPlateSpec,
     apply,
@@ -44,44 +44,71 @@ from .transforms import (
 )
 
 ANALYSES = ("validate", "pairwise", "scan", "purity", "photons")
-STEP_OPS = ("waveplate", "embed", "qplate", "reorder")
 
 
-_INTEGER = (int, np.integer)
-_REAL = (int, float, np.integer, np.floating)
+def _source(source, where):
+    """Parse a source object into a zero-argument callable building the state."""
+    kind = source.get("kind") if isinstance(source, dict) else None
+    try:
+        if kind == "file":
+            if not isinstance(source["path"], str):
+                raise TypeError("'path' must be a string")
+            return partial(load_state, source["path"])
+        if kind == "standard_form":
+            a, b, c1, c2 = (float(source[k]) for k in ("a", "b", "c1", "c2"))
+            return partial(make_standard_form, StandardFormParams(a, b, c1, c2))
+        if kind == "opo":
+            r, eta = float(source["r"]), float(source.get("eta", 1.0))
+            return partial(opo_source, r, eta)
+    except KeyError as exc:
+        raise ParseError(f"{where}: {kind} source needs field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{where}: {kind} source: {exc}") from exc
+    raise ParseError(
+        f"{where}: needs a 'kind' of file|standard_form|opo, got {kind!r}"
+    )
 
 
-def _is_number(value, kind=_REAL):
-    return isinstance(value, kind) and not isinstance(value, bool)
+def _qplate(state, spec):
+    return apply(qplate_transform(spec, state.register), state)
 
 
-def _check_step_fields(step, where):
-    op = step["op"]
+def _step(step, where):
+    """Parse a step object into ``(op, run)``; ``run(state)`` is the next state."""
+    op = step.get("op") if isinstance(step, dict) else None
+    if op == "waveplate":
+        return op, quarter_waveplate_relabel
+    if op == "embed":
+        register = _parse_register(step.get("modes"), f"{where}.modes")
+        return op, partial(embed_with_vacua, vacuum_labels=register.modes)
     if op == "qplate":
-        for name in ("q", "delta"):
-            if not _is_number(step.get(name)):
-                raise ParseError(f"{where}: qplate needs a number {name!r}")
-    elif op == "embed":
-        modes = step.get("modes")
-        if not isinstance(modes, list) or not all(
-            isinstance(m, dict) and {"polarization", "oam", "tag"} <= m.keys()
-            for m in modes
-        ):
-            raise ParseError(
-                f"{where}: embed needs 'modes', a list of objects with "
-                "polarization, oam and tag"
-            )
-    elif op == "reorder":
+        try:
+            spec = QPlateSpec(float(step["q"]), float(step["delta"]))
+        except KeyError as exc:
+            raise ParseError(f"{where}: qplate needs a number {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"{where}: qplate: {exc}") from exc
+        return op, partial(_qplate, spec=spec)
+    if op == "reorder":
         order = step.get("order")
-        if not isinstance(order, list) or not all(
-            _is_number(k, _INTEGER) for k in order
-        ):
+        if not isinstance(order, list) or not all(type(k) is int for k in order):
             raise ParseError(f"{where}: reorder needs 'order', a list of integers")
+        return op, partial(reorder, permutation=tuple(order))
+    raise ParseError(
+        f"{where}.op must be one of waveplate|embed|qplate|reorder, got {op!r}"
+    )
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    source: dict
+    """A parsed pipeline config; :meth:`from_dict` reads the JSON shape.
+
+    ``source`` is None or a zero-argument callable that builds the input
+    state, ``steps`` holds ``(op, run)`` pairs where ``run(state)`` returns
+    the next state, and ``analyses`` names entries of :data:`ANALYSES`.
+    """
+
+    source: object
     steps: tuple
     analyses: tuple
 
@@ -91,44 +118,25 @@ class PipelineConfig:
             raise ParseError(f"{where}: top level must be an object")
         source = data.get("source")
         if source is not None:
-            if not isinstance(source, dict) or "kind" not in source:
-                raise ParseError(f"{where}.source: needs a 'kind' field")
-            if source["kind"] not in ("file", "standard_form", "opo"):
-                raise ParseError(
-                    f"{where}.source.kind must be file|standard_form|opo, "
-                    f"got {source['kind']!r}"
-                )
-        steps = []
-        for k, step in enumerate(data.get("steps", [])):
-            if not isinstance(step, dict) or "op" not in step:
-                raise ParseError(f"{where}.steps[{k}]: needs an 'op' field")
-            if step["op"] not in STEP_OPS:
-                raise ParseError(
-                    f"{where}.steps[{k}].op must be one of {STEP_OPS}, "
-                    f"got {step['op']!r}"
-                )
-            _check_step_fields(step, f"{where}.steps[{k}]")
-            steps.append(dict(step))
-        analyses = []
-        for name in data.get("analyses", []):
+            source = _source(source, f"{where}.source")
+        steps, analyses = data.get("steps", []), data.get("analyses", [])
+        if not isinstance(steps, list) or not isinstance(analyses, list):
+            raise ParseError(f"{where}: 'steps' and 'analyses' must be lists")
+        for name in analyses:
             if name not in ANALYSES:
                 raise ParseError(
                     f"{where}.analyses: unknown analysis {name!r}; "
                     f"choose from {ANALYSES}"
                 )
-            analyses.append(name)
-        return cls(source, tuple(steps), tuple(analyses))
+        return cls(
+            source,
+            tuple(_step(step, f"{where}.steps[{k}]") for k, step in enumerate(steps)),
+            tuple(analyses),
+        )
 
     @classmethod
     def from_file(cls, path):
-        with open(path, encoding="utf-8") as handle:
-            try:
-                data = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise ParseError(
-                    f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-                ) from exc
-        return cls.from_dict(data, where=str(path))
+        return cls.from_dict(read_json(path), where=str(path))
 
 
 @dataclass(frozen=True)
@@ -149,39 +157,6 @@ class PipelineResult:
     analyses: dict
 
 
-def _build_source(source):
-    if source is None:
-        raise ParseError("pipeline has no source and no input state was given")
-    kind = source["kind"]
-    if kind == "file":
-        return load_state(source["path"])
-    if kind == "standard_form":
-        p = StandardFormParams(
-            float(source["a"]), float(source["b"]),
-            float(source["c1"]), float(source["c2"]),
-        )
-        return make_standard_form(p)
-    # kind == "opo"
-    return opo_source(float(source["r"]), float(source.get("eta", 1.0)))
-
-
-def _run_step(step, state):
-    op = step["op"]
-    if op == "waveplate":
-        return quarter_waveplate_relabel(state)
-    if op == "embed":
-        labels = tuple(
-            ModeLabel(m["polarization"], int(m["oam"]), m["tag"])
-            for m in step["modes"]
-        )
-        return embed_with_vacua(state, labels)
-    if op == "qplate":
-        spec = QPlateSpec(float(step["q"]), float(step["delta"]))
-        return apply(qplate_transform(spec, state.register), state)
-    # op == "reorder"
-    return reorder(state, step["order"])
-
-
 def _diag(index, name, state):
     report = validate(state)
     return StepDiagnostics(
@@ -199,20 +174,25 @@ def run_pipeline(config, state=None, band=THRESHOLD_BAND):
 
     The first failing step aborts the run with its module error wrapped
     in :class:`PipelineStepError` carrying the step index (the source is
-    step 0).  Identical configs produce identical results.
+    step 0, where a ``ValueError`` of the source model is wrapped too).
+    Identical configs produce identical results.
     """
     if state is None:
         try:
-            state = _build_source(config.source)
-        except CVModesError as exc:
+            if config.source is None:
+                raise ParseError(
+                    "pipeline has no source and no input state was given"
+                )
+            state = config.source()
+        except (CVModesError, ValueError) as exc:
             raise PipelineStepError(0, "source", exc) from exc
     diagnostics = [_diag(0, "source", state)]
-    for k, step in enumerate(config.steps, start=1):
+    for k, (op, run) in enumerate(config.steps, start=1):
         try:
-            state = _run_step(step, state)
+            state = run(state)
         except CVModesError as exc:
-            raise PipelineStepError(k, step["op"], exc) from exc
-        diagnostics.append(_diag(k, step["op"], state))
+            raise PipelineStepError(k, op, exc) from exc
+        diagnostics.append(_diag(k, op, state))
 
     analyses = {}
     pairwise = {}
@@ -232,27 +212,33 @@ def run_pipeline(config, state=None, band=THRESHOLD_BAND):
     return PipelineResult(state, report, tuple(diagnostics), analyses)
 
 
+# The steps before the q-plate do not depend on the arguments of
+# distribution_config, so they are parsed once.
+_DISTRIBUTION_STEPS = PipelineConfig.from_dict({"steps": [
+    {"op": "waveplate"},
+    {"op": "embed", "modes": [
+        {"tag": "a~", "polarization": "R", "oam": 1},
+        {"tag": "b~", "polarization": "L", "oam": -1},
+    ]},
+    {"op": "reorder", "order": [0, 2, 1, 3]},
+]}, where="distribution_config").steps
+
+
 def distribution_config(source=None, delta=np.pi / 2.0, q=0.5,
                         analyses=("validate", "pairwise", "scan")):
     """Canonical four-mode distribution pipeline for an a[H,0], b[V,0] source.
 
     Waveplate to the circular basis, embed the two q-plate partner vacua,
     interleave signal/vacuum pairs, and apply the q-plate.  The output
-    register reads (a1, a2, b1, b2).
+    register reads (a1, a2, b1, b2).  ``source`` is a config source object.
     """
-    return PipelineConfig(
-        source=source,
-        steps=(
-            {"op": "waveplate"},
-            {"op": "embed", "modes": [
-                {"tag": "a~", "polarization": "R", "oam": 1},
-                {"tag": "b~", "polarization": "L", "oam": -1},
-            ]},
-            {"op": "reorder", "order": [0, 2, 1, 3]},
-            {"op": "qplate", "delta": float(delta), "q": float(q)},
-        ),
-        analyses=tuple(analyses),
-    )
+    tail = PipelineConfig.from_dict({
+        "source": source,
+        "steps": [{"op": "qplate", "delta": float(delta), "q": float(q)}],
+        "analyses": list(analyses),
+    }, where="distribution_config")
+    return PipelineConfig(tail.source, _DISTRIBUTION_STEPS + tail.steps,
+                          tail.analyses)
 
 
 # ---------------------------------------------------------------------------

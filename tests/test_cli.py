@@ -1,9 +1,11 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cvmodes import StandardFormParams, make_standard_form, save_state
+from cvmodes import StandardFormParams, errors, make_standard_form, save_state
 from cvmodes.cli import main
 from cvmodes.fixtures import load_state_fixture
 from cvmodes.io import state_to_dict
@@ -173,3 +175,47 @@ def test_tol_flag_threads_through(source_file, capsys):
                  "--pairs"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["pairwise"][0]["status"] == "separable"
+
+
+def readme_exit_codes():
+    """Error class name -> exit code, from the README table rows 3 and 4."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    codes = {}
+    for code, names in re.findall(r"^\| ([34]) \|[^|]*\|(.*)\|$", readme, re.M):
+        codes.update((name, int(code)) for name in re.findall(r"`(\w+)`", names))
+    return codes
+
+
+def test_every_error_class_exits_with_its_readme_code():
+    readme = readme_exit_codes()
+    assert readme["PipelineStepError"] == 3 and len(readme) == 5
+    classes = [cls for cls in vars(errors).values()
+               if isinstance(cls, type) and issubclass(cls, errors.CVModesError)]
+    for cls in classes:
+        assert cls.exit_code == readme.get(cls.__name__, 2), cls.__name__
+
+
+@pytest.mark.parametrize("cause, code", [
+    (errors.UnpairedMode("x"), 3),
+    (errors.ParseError("x"), 3),
+    (ValueError("x"), 3),
+    (errors.NonSymplectic("x"), 4),
+    (errors.NumericalFailure("x"), 4),
+])
+def test_step_error_exit_code_follows_a_numerical_cause(cause, code):
+    assert errors.PipelineStepError(1, "qplate", cause).exit_code == code
+
+
+def test_directory_input_exit_code(tmp_path, capsys):
+    assert main(["validate", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_output_into_missing_directory_exit_code(source_file, distribution_cfg,
+                                                 tmp_path, capsys):
+    out_path = tmp_path / "missing" / "final.json"
+    assert main(["transform", source_file, "--config", distribution_cfg,
+                 "--output", str(out_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -160,3 +160,30 @@ def test_register_spec_errors():
         parse_register_spec("a:Q:0")
     with pytest.raises(ParseError):
         parse_register_spec("a:H:x")
+
+
+@pytest.mark.parametrize("name, content", [
+    ("null_convention.json", {"convention": None}),
+    ("zero_convention.json", {"convention": 0}),
+    ("nan_shot_noise.json", {"convention": {"sn": float("nan"),
+                                            "ordering": "interleaved"}}),
+    ("scalar_register.json", {"register": 5}),
+    ("scalar_mode.json", {"register": [5, 6]}),
+    ("numeric_tag.json", {"register": [
+        {"tag": 1, "polarization": "H", "oam": 0},
+        {"tag": "b", "polarization": "V", "oam": 0}]}),
+    ("latin1.json", b'{"convention": "\xe9"}'),
+    ("latin1.csv", b"0.5,0,0,\xe9\n"),
+])
+def test_malformed_files_are_a_parse_error(tmp_path, name, content):
+    path = tmp_path / name
+    if isinstance(content, dict):
+        doc = state_to_dict(make_standard_form(EXP))
+        doc.update(content)
+        content = json.dumps(doc).encode()
+    path.write_bytes(content)
+    with pytest.raises(ParseError):
+        if name.endswith(".csv"):
+            load_cov_csv(path, parse_register_spec("a:H:0,b:V:0"))
+        else:
+            load_state(path, rescale=True)

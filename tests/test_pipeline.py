@@ -42,8 +42,8 @@ def test_config_from_file(tmp_path):
         "analyses": ["validate", "purity"],
     }))
     config = PipelineConfig.from_file(path)
-    assert config.source["kind"] == "standard_form"
-    assert config.steps[0]["op"] == "waveplate"
+    assert config.source() == make_standard_form(EXP)
+    assert [op for op, _ in config.steps] == ["waveplate"]
     assert config.analyses == ("validate", "purity")
 
 
@@ -66,8 +66,8 @@ def test_diagnostics_track_every_step():
 
 
 def test_empty_steps_with_validate_echo_input():
-    config = PipelineConfig(source=EXP_SOURCE, steps=(),
-                            analyses=("validate",))
+    config = PipelineConfig.from_dict({"source": EXP_SOURCE, "steps": [],
+                                       "analyses": ["validate"]})
     result = run_pipeline(config)
     assert np.array_equal(result.final_state.cov, make_standard_form(EXP).cov)
     assert result.analyses["validate"].physical
@@ -85,14 +85,13 @@ def test_opo_vacuum_through_pipeline_all_separable():
 
 
 def test_failing_step_wrapped_with_index():
-    config = PipelineConfig(
-        source=EXP_SOURCE,
-        steps=(
+    config = PipelineConfig.from_dict({
+        "source": EXP_SOURCE,
+        "steps": [
             {"op": "waveplate"},
             {"op": "qplate", "delta": np.pi / 2, "q": 0.5},  # vacua missing
-        ),
-        analyses=(),
-    )
+        ],
+    })
     with pytest.raises(PipelineStepError) as err:
         run_pipeline(config)
     assert err.value.step_index == 2
@@ -123,11 +122,47 @@ def test_step_fields_are_checked_when_parsed():
         {"op": "reorder"},
         {"op": "reorder", "order": "ab"},
         {"op": "reorder", "order": [0, 1.5]},
+        {"op": "embed", "modes": [{"tag": "a~", "polarization": "Q", "oam": 1}]},
+        {"op": "embed", "modes": [{"tag": "a~", "polarization": "R", "oam": 1.7}]},
+        {"op": "qplate", "q": 0.3, "delta": 1.0},
     ]
     for step in bad_steps:
         with pytest.raises(ParseError, match=r"steps\[0\]"):
             PipelineConfig.from_dict({"steps": [step]})
 
+
+
+@pytest.mark.parametrize("data", [
+    {"steps": 5},
+    {"steps": None},
+    {"analyses": 0},
+    {"analyses": "scan"},
+    {"source": {"kind": "standard_form", "a": 0.7}},
+    {"source": {"kind": "file"}},
+    {"source": {"kind": "opo", "r": "strong"}},
+])
+def test_config_shape_is_checked_when_parsed(data):
+    with pytest.raises(ParseError):
+        PipelineConfig.from_dict(data)
+
+
+def test_source_model_value_error_fails_at_step_zero():
+    config = distribution_config(source={"kind": "opo", "r": -1.0})
+    with pytest.raises(PipelineStepError) as err:
+        run_pipeline(config)
+    assert err.value.step_index == 0
+    assert isinstance(err.value.cause, ValueError)
+    assert err.value.exit_code == 3
+
+
+def test_config_without_source_needs_an_input_state():
+    config = PipelineConfig(source=None, steps=(), analyses=("photons",))
+    with pytest.raises(PipelineStepError) as err:
+        run_pipeline(config)
+    assert isinstance(err.value.cause, ParseError)
+    state = make_standard_form(EXP)
+    assert run_pipeline(config, state=state).analyses["photons"] == \
+        pytest.approx(0.44, abs=1e-12)
 
 def test_run_is_deterministic():
     config = distribution_config(source=EXP_SOURCE,
