@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .core import purity, total_photon_number, validate
+from .core import validate
 from .entanglement import THRESHOLD_BAND
 from .errors import CVModesError, ParseError
 from .io import load_cov_csv, load_state, parse_register_spec, save_state, state_to_dict
@@ -94,9 +94,9 @@ def _cmd_analyze(args):
     result = run_pipeline(config, state=state, band=args.tol)
     sys.stdout.buffer.write(emit_report(result.report, format=args.format))
     if args.format == "text":
+        d = result.diagnostics[0]
         sys.stdout.write(
-            f"purity: {purity(state):.6f}   total photons: "
-            f"{total_photon_number(state):.6f}\n"
+            f"purity: {d.purity:.6f}   total photons: {d.total_photons:.6f}\n"
         )
     return EXIT_OK
 

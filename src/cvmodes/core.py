@@ -23,6 +23,7 @@ from .errors import (
     IndexOutOfRange,
     NonPositiveDeterminant,
     NotAPermutation,
+    NumericalFailure,
     PhysicalityViolation,
 )
 
@@ -141,6 +142,8 @@ def _frozen_array(values, shape, what):
     arr = np.array(values, dtype=float)
     if arr.shape != shape:
         raise DimensionMismatch(f"{what} must have shape {shape}, got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise PhysicalityViolation(f"{what} entries are not all finite")
     arr.flags.writeable = False
     return arr
 
@@ -149,7 +152,8 @@ def _frozen_array(values, shape, what):
 class GaussianState:
     """Gaussian state: register, quadrature mean vector, covariance matrix.
 
-    Construction checks dimensions only.  Physicality and symmetry are
+    Construction checks dimensions and finiteness only: a NaN or infinite
+    entry raises PhysicalityViolation.  Physicality and symmetry are
     checked by :func:`validate` (and enforced by the constructors that
     promise physical output), so that diagnostic code can still hold and
     inspect invalid matrices.
@@ -239,12 +243,7 @@ def make_standard_form(params, register=None):
         register = two_mode_register()
     if len(register) != 2:
         raise DimensionMismatch("standard form is a two-mode constructor")
-    cov = standard_form_matrix(params)
-    if not np.isfinite(cov).all():
-        raise PhysicalityViolation(
-            f"standard-form parameters {params} are not all finite"
-        )
-    state = GaussianState(register, np.zeros(4), cov)
+    state = GaussianState(register, np.zeros(4), standard_form_matrix(params))
     report = validate(state)
     if not report.physical:
         raise PhysicalityViolation(
@@ -256,10 +255,17 @@ def make_standard_form(params, register=None):
 
 
 def min_heisenberg_eigenvalue(cov):
-    """Smallest eigenvalue of the Hermitian matrix cov + (i/2) Omega."""
+    """Smallest eigenvalue of the Hermitian matrix cov + (i/2) Omega.
+
+    Raises NumericalFailure if the eigensolver fails (entries overflow).
+    """
     n = cov.shape[0] // 2
-    herm = 0.5 * (cov + cov.T) + 0.5j * symplectic_form(n)
-    return float(np.linalg.eigvalsh(herm)[0])
+    with np.errstate(over="ignore"):
+        herm = 0.5 * (cov + cov.T) + 0.5j * symplectic_form(n)
+    try:
+        return float(np.linalg.eigvalsh(herm)[0])
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"Heisenberg eigenvalues: {exc}") from exc
 
 
 def validate(state):
@@ -267,11 +273,9 @@ def validate(state):
 
     Returns a :class:`ValidityReport`; never raises on an invalid matrix
     (that is the point of the report).  ``min_heisenberg_eigenvalue`` is
-    computed on the symmetrized matrix when the input is asymmetric.
+    computed on the symmetrized matrix when the input is asymmetric; entries
+    that overflow there raise NumericalFailure.
     """
-    n = state.n_modes
-    if state.cov.shape != (2 * n, 2 * n):
-        raise DimensionMismatch("cov does not match register")
     asym = float(np.abs(state.cov - state.cov.T).max())
     symmetric = asym <= TOL_SYMMETRY
     min_eig = min_heisenberg_eigenvalue(state.cov)
@@ -286,6 +290,15 @@ def _quadrature_indices(subset):
     return out
 
 
+def _cov_blocks(cov, subsets):
+    """Stack (k, 2m, 2m) of the blocks of ``cov`` on k mode subsets of size m.
+
+    One gather; block k keeps the mode order of ``subsets[k]``.
+    """
+    idx = np.array([_quadrature_indices(s) for s in subsets])
+    return cov[idx[:, :, None], idx[:, None, :]]
+
+
 def _check_subset(subset, n):
     subset = [int(k) for k in subset]
     if not subset:
@@ -298,15 +311,18 @@ def _check_subset(subset, n):
     return subset
 
 
+def _select(state, modes):
+    # the state on ``modes``, in the order given
+    return GaussianState(
+        ModeRegister(tuple(state.register[k] for k in modes)),
+        state.mean[_quadrature_indices(modes)],
+        _cov_blocks(state.cov, [modes])[0],
+    )
+
+
 def reduce(state, subset):
     """Marginal state on ``subset`` of mode indices (register order kept)."""
-    subset = sorted(_check_subset(subset, state.n_modes))
-    idx = _quadrature_indices(subset)
-    return GaussianState(
-        ModeRegister(tuple(state.register[k] for k in subset)),
-        state.mean[idx],
-        state.cov[np.ix_(idx, idx)],
-    )
+    return _select(state, sorted(_check_subset(subset, state.n_modes)))
 
 
 def reorder(state, permutation):
@@ -320,12 +336,7 @@ def reorder(state, permutation):
         raise NotAPermutation(
             f"{permutation} is not a permutation of 0..{state.n_modes - 1}"
         )
-    idx = _quadrature_indices(perm)
-    return GaussianState(
-        ModeRegister(tuple(state.register[k] for k in perm)),
-        state.mean[idx],
-        state.cov[np.ix_(idx, idx)],
-    )
+    return _select(state, perm)
 
 
 def mean_photon_number(state, mode_index):

@@ -9,6 +9,11 @@ partial transpose passes, the operational iterative criterion of
 G. Giedke, B. Kraus, M. Lewenstein, and J. I. Cirac,
 Phys. Rev. Lett. 87, 167904 (2001) decides separability exactly.
 
+All four deciders share one stacked path, so a split gets the same
+verdict, bit for bit, from each: one spectrum call decides the partial
+transpose of every split, and one recursion per side-A size escalates
+the splits it leaves open.
+
 Witness semantics are conservative: values inside the one-sided numerical
 band below the threshold report Separable rather than falsely Entangled.
 """
@@ -22,15 +27,18 @@ import numpy as np
 from .core import (
     SHOT_NOISE,
     TOL_SYMMETRY,
-    _quadrature_indices,
+    _check_subset,
+    _cov_blocks,
     symplectic_form,
 )
-from .errors import ConvergenceStall, IndexOutOfRange, NumericalFailure
+from .errors import IndexOutOfRange, NumericalFailure
 
 THRESHOLD_BAND = 1e-9
 """One-sided tolerance below SHOT_NOISE for the entanglement witness."""
 
 DEFAULT_MAX_ITER = 1000
+"""Round budget of the iterative criterion; then a split is Inconclusive."""
+
 DEFAULT_ITER_TOL = 1e-10
 """Stopping tolerance on the correlation-block norm of the iteration."""
 
@@ -112,18 +120,20 @@ def partial_transpose(state, side_b):
     """Covariance matrix with the Y quadratures of ``side_b`` sign-flipped.
 
     Returns Lambda cov Lambda with Lambda diagonal +-1; an involution,
-    bit-exact when applied twice.
+    bit-exact when applied twice.  ``side_b`` is checked like a subset
+    for :func:`~cvmodes.core.reduce`: nonempty, in range, no repeats.
     """
-    side_b = [int(k) for k in side_b]
-    if not side_b:
-        raise IndexOutOfRange("side_b must be nonempty")
-    n = state.n_modes
-    signs = np.ones(2 * n)
-    for k in side_b:
-        if not 0 <= k < n:
-            raise IndexOutOfRange(f"mode index {k} outside register of {n} modes")
-        signs[2 * k + 1] = -1.0
-    return state.cov * np.outer(signs, signs)
+    side_b = _check_subset(side_b, state.n_modes)
+    return state.cov * _sign_masks(state.n_modes, [side_b])[0]
+
+
+def _sign_masks(n, sides_b):
+    # one +-1 mask s s^T per side B, with s = -1 on the Y quadratures of
+    # its modes: shape (len(sides_b), 2n, 2n)
+    signs = np.ones((len(sides_b), 2 * n))
+    for row, side_b in zip(signs, sides_b):
+        row[[2 * k + 1 for k in side_b]] = -1.0
+    return signs[:, :, None] * signs[:, None, :]
 
 
 def symplectic_eigenvalues(sigma):
@@ -193,6 +203,16 @@ def _ppt_from_spectrum(nu, bipartition, band):
     return EntanglementVerdict(status, witness, logneg, Method.PPT)
 
 
+def _ppt(cov, splits, band):
+    """PPT verdict of each split on its slice of the stack ``cov``.
+
+    ``cov`` is a (k, 2n, 2n) stack or one (2n, 2n) matrix for all splits.
+    """
+    masks = _sign_masks(cov.shape[-1] // 2, [s.side_b for s in splits])
+    spectra = symplectic_eigenvalues(cov * masks)
+    return [_ppt_from_spectrum(nu, s, band) for s, nu in zip(splits, spectra)]
+
+
 def ppt_verdict(state, bipartition, band=THRESHOLD_BAND):
     """Partial-transpose verdict on a bipartition covering the register.
 
@@ -203,36 +223,22 @@ def ppt_verdict(state, bipartition, band=THRESHOLD_BAND):
     out bound entanglement there.
     """
     _check_covering(bipartition, state.n_modes)
-    nu = symplectic_eigenvalues(partial_transpose(state, bipartition.side_b))
-    return _ppt_from_spectrum(nu, bipartition, band)
+    return _ppt(state.cov, [bipartition], band)[0]
 
 
 # ---------------------------------------------------------------------------
 # iterative criterion
 # ---------------------------------------------------------------------------
 
-def _check_iteration_args(max_iter, tol):
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-
-
-def _split_gammas(cov, splits):
-    # gamma = 2 cov of every split, side-A modes first, in one gather
-    idx = np.array([_quadrature_indices(s.side_a + s.side_b) for s in splits])
-    return 2.0 * cov[idx[:, :, None], idx[:, None, :]]
-
-
-def _gklc(gamma, m, max_iter, tol, band):
+def _gklc(gamma, m, band):
     """GKLC recursion on a stack (k, 2n, 2n) of gamma = 2 cov matrices.
 
     The first ``m`` modes of every slice form side A.  Returns one
     (status, iterations) pair per slice, equal to running the recursion
     on each slice alone: every round makes one stacked eigen-call, one
     stacked norm and one stacked pseudo-inverse over the slices still
-    without a certificate.  A stalled slice raises ConvergenceStall once
-    the others are decided, for the lowest-indexed stalled slice.
+    without a certificate.  DEFAULT_MAX_ITER and DEFAULT_ITER_TOL are read
+    at call time.
     """
     k = gamma.shape[0]
     a_blk = gamma[:, : 2 * m, : 2 * m]
@@ -243,12 +249,9 @@ def _gklc(gamma, m, max_iter, tol, band):
     # gamma = 2 cov, so the physicality floor doubles too
     ent_eps = 2.0 * band
 
-    out = [(Status.INCONCLUSIVE, max_iter)] * k
-    stalls = {}
+    out = [(Status.INCONCLUSIVE, DEFAULT_MAX_ITER)] * k
     live = np.arange(k)
-    prev_norm = np.full(k, np.nan)
-    stalled = np.zeros(k, dtype=int)
-    for it in range(1, max_iter + 1):
+    for it in range(1, DEFAULT_MAX_ITER + 1):
         min_a = np.linalg.eigvalsh(a_blk - 1j * j_a)[:, 0]
         norm_c = np.linalg.norm(c_blk, 2, axis=(-2, -1))
         floor = min_a
@@ -259,26 +262,17 @@ def _gklc(gamma, m, max_iter, tol, band):
             above_norm &= min_b >= norm_c - 1e-12
         entangled = floor < -ent_eps
         separable = ~entangled & (
-            above_norm | ((norm_c <= tol) & (floor >= -ent_eps))
+            above_norm | ((norm_c <= DEFAULT_ITER_TOL) & (floor >= -ent_eps))
         )
-
-        same = np.abs(prev_norm - norm_c) <= 1e-15 * np.maximum(1.0, norm_c)
-        stalled = np.where(same, stalled + 1, 0)
-        stuck = ~entangled & ~separable & (stalled >= 10)
         for j in np.flatnonzero(entangled):
             out[live[j]] = (Status.ENTANGLED, it)
         for j in np.flatnonzero(separable):
             out[live[j]] = (Status.SEPARABLE, it)
-        for j in np.flatnonzero(stuck):
-            stalls[live[j]] = ConvergenceStall(
-                f"correlation norm stuck at {norm_c[j]:.3e} after {it} "
-                "iterations with no certificate"
-            )
 
-        keep = ~(entangled | separable | stuck)
+        keep = ~(entangled | separable)
         if not keep.any():
             break
-        live, prev_norm, stalled = live[keep], norm_c[keep], stalled[keep]
+        live = live[keep]
         a_blk, b_blk, c_blk = a_blk[keep], b_blk[keep], c_blk[keep]
         x = c_blk @ np.linalg.pinv(b_blk - 1j * j_b, hermitian=True) \
             @ np.swapaxes(c_blk, -1, -2)
@@ -286,18 +280,29 @@ def _gklc(gamma, m, max_iter, tol, band):
         b_blk = a_blk
         c_blk = -x.imag
         j_b = j_a
-    if stalls:
-        raise stalls[min(stalls)]
     return out
 
 
-def iterative_separability(
-    state,
-    bipartition,
-    max_iter=DEFAULT_MAX_ITER,
-    tol=DEFAULT_ITER_TOL,
-    band=THRESHOLD_BAND,
-):
+def _escalate(cov, splits, verdicts, rows, band):
+    """Replace ``verdicts[k]``, k in ``rows``, by its GKLC verdict; return them.
+
+    One gather of gamma = 2 cov (side-A modes first) and one :func:`_gklc`
+    call per side-A size; the PPT diagnostics are kept.
+    """
+    groups = {}
+    for k in rows:
+        groups.setdefault(len(splits[k].side_a), []).append(k)
+    for m, group in groups.items():
+        gamma = 2.0 * _cov_blocks(
+            cov, [splits[k].side_a + splits[k].side_b for k in group]
+        )
+        for k, (status, iterations) in zip(group, _gklc(gamma, m, band)):
+            verdicts[k] = replace(verdicts[k], status=status,
+                                  method=Method.ITERATIVE, iterations=iterations)
+    return verdicts
+
+
+def iterative_separability(state, bipartition, band=THRESHOLD_BAND):
     """Operational separability decision for any MxN bipartition.
 
     Runs the nonlinear matrix recursion of Giedke, Kraus, Lewenstein, and
@@ -311,30 +316,22 @@ def iterative_separability(
 
     * some eigenvalue of A - i J_A drops below zero: the input was not
       separable (Entangled);
-    * min eig(A - i J_A) >= ||C||_2, or ||C||_2 <= tol with A still
-      physical: a product decomposition exists (Separable).
+    * min eig(A - i J_A) >= ||C||_2, or ||C||_2 <= DEFAULT_ITER_TOL with
+      A still physical: a product decomposition exists (Separable).
 
-    On the first round both marginal blocks are tested.  Reaching
-    ``max_iter`` yields Inconclusive with the iteration count; stalled
-    correlation norms without a certificate raise ConvergenceStall.
+    On the first round both marginal blocks are tested.  A split with no
+    certificate after DEFAULT_MAX_ITER rounds is Inconclusive, with that
+    iteration count.
 
     The verdict carries the partial-transpose witness and log-negativity
     as diagnostics; agreement with :func:`ppt_verdict` wherever that one
-    is conclusive is part of this function's contract.  One stacked
-    implementation of the recursion serves this function (a stack of one)
-    and :func:`bipartition_scan` (all its escalated splits at once), so
-    both give the same verdict, bit for bit, on the same split.
+    is conclusive is part of this function's contract.  The split is
+    decided as a stack of one by the same kernels that serve
+    :func:`bipartition_scan`, so both give the same verdict, bit for bit.
     """
     _check_covering(bipartition, state.n_modes)
-    _check_iteration_args(max_iter, tol)
-    nu = symplectic_eigenvalues(partial_transpose(state, bipartition.side_b))
-    ppt = _ppt_from_spectrum(nu, bipartition, band)
-    gamma = _split_gammas(state.cov, [bipartition])
-    [(status, iterations)] = _gklc(
-        gamma, len(bipartition.side_a), max_iter, tol, band
-    )
-    return replace(ppt, status=status, method=Method.ITERATIVE,
-                   iterations=iterations)
+    verdicts = _ppt(state.cov, [bipartition], band)
+    return _escalate(state.cov, [bipartition], verdicts, [0], band)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -354,15 +351,9 @@ def pairwise_entanglement_map(state, band=THRESHOLD_BAND):
     if n < 2:
         raise IndexOutOfRange("pairwise map needs at least two modes")
     pairs = list(combinations(range(n), 2))
-    idx = np.array([_quadrature_indices(pair) for pair in pairs])
-    flip = np.array([1.0, 1.0, 1.0, -1.0])  # Y of the second mode
-    marginals = state.cov[idx[:, :, None], idx[:, None, :]] * np.outer(flip, flip)
-    split = Bipartition((0,), (1,))
-    table = {
-        pair: _ppt_from_spectrum(nu, split, band)
-        for pair, nu in zip(pairs, symplectic_eigenvalues(marginals))
-    }
-    return EntanglementReport(state.register.tags, table, ())
+    splits = [Bipartition((0,), (1,))] * len(pairs)
+    verdicts = _ppt(_cov_blocks(state.cov, pairs), splits, band)
+    return EntanglementReport(state.register.tags, dict(zip(pairs, verdicts)), ())
 
 
 def enumerate_bipartitions(n):
@@ -381,12 +372,7 @@ def enumerate_bipartitions(n):
     return splits
 
 
-def bipartition_scan(
-    state,
-    band=THRESHOLD_BAND,
-    max_iter=DEFAULT_MAX_ITER,
-    tol=DEFAULT_ITER_TOL,
-):
+def bipartition_scan(state, band=THRESHOLD_BAND):
     """Decide every enumerated bipartition of the full register.
 
     The partial transpose runs first, with the spectra of all splits
@@ -397,29 +383,10 @@ def bipartition_scan(
     Registers larger than 8 modes are refused (the enumeration is
     exhaustive).
     """
-    _check_iteration_args(max_iter, tol)
     n = state.n_modes
     if n > 8:
         raise IndexOutOfRange("bipartition scan is limited to 8 modes")
     splits = enumerate_bipartitions(n)
-    signs = np.ones((len(splits), 2 * n))
-    for row, split in zip(signs, splits):
-        row[[2 * k + 1 for k in split.side_b]] = -1.0
-    spectra = symplectic_eigenvalues(
-        state.cov * (signs[:, :, None] * signs[:, None, :])
-    )
-    verdicts, escalated = [], {}
-    for k, (split, nu) in enumerate(zip(splits, spectra)):
-        verdicts.append(_ppt_from_spectrum(nu, split, band))
-        if verdicts[k].status is Status.INCONCLUSIVE:
-            escalated.setdefault(len(split.side_a), []).append(k)
-    # groups come in enumeration order, so the first stall raised is the
-    # one a split-by-split loop would have raised
-    for m, rows in escalated.items():
-        gamma = _split_gammas(state.cov, [splits[k] for k in rows])
-        for k, (status, iterations) in zip(
-            rows, _gklc(gamma, m, max_iter, tol, band)
-        ):
-            verdicts[k] = replace(verdicts[k], status=status,
-                                  method=Method.ITERATIVE, iterations=iterations)
-    return list(zip(splits, verdicts))
+    verdicts = _ppt(state.cov, splits, band)
+    rows = [k for k, v in enumerate(verdicts) if v.status is Status.INCONCLUSIVE]
+    return list(zip(splits, _escalate(state.cov, splits, verdicts, rows, band)))

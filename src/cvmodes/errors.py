@@ -86,12 +86,6 @@ class NumericalFailure(CVModesError):
     exit_code = 4
 
 
-class ConvergenceStall(CVModesError):
-    """Iterative criterion stopped making progress without a certificate."""
-
-    exit_code = 4
-
-
 # -- file formats and pipeline ----------------------------------------------
 
 class ParseError(CVModesError):

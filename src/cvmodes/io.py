@@ -11,6 +11,8 @@ import csv
 import json
 import math
 
+import numpy as np
+
 from .core import (
     SHOT_NOISE,
     GaussianState,
@@ -111,7 +113,6 @@ def state_from_dict(data, require_physical=True, rescale=False, where="state"):
             f"{where}: cov is not a {2 * n}x{2 * n} row-major matrix"
         )
 
-    state = GaussianState(register, mean, cov)
     if not math.isclose(sn, SHOT_NOISE, rel_tol=0.0, abs_tol=1e-12):
         if not rescale:
             raise ConventionMismatch(
@@ -119,9 +120,11 @@ def state_from_dict(data, require_physical=True, rescale=False, where="state"):
                 "pass rescale=True (CLI: --rescale) to convert on load"
             )
         factor = SHOT_NOISE / sn
-        state = GaussianState(
-            register, state.mean * math.sqrt(factor), state.cov * factor
-        )
+        # an overflow gives non-finite entries, which GaussianState rejects
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = np.multiply(mean, math.sqrt(factor))
+            cov = np.multiply(cov, factor)
+    state = GaussianState(register, mean, cov)
 
     if require_physical:
         report = validate(state)

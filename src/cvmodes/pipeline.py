@@ -201,9 +201,9 @@ def run_pipeline(config, state=None, band=THRESHOLD_BAND):
         if name == "validate":
             analyses["validate"] = validate(state)
         elif name == "purity":
-            analyses["purity"] = purity(state)
+            analyses["purity"] = diagnostics[-1].purity
         elif name == "photons":
-            analyses["photons"] = total_photon_number(state)
+            analyses["photons"] = diagnostics[-1].total_photons
         elif name == "pairwise":
             pairwise = pairwise_entanglement_map(state, band=band).pairwise
         elif name == "scan":

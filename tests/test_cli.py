@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -81,6 +82,27 @@ def test_rescale_flag(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["validate", str(path)]) == 2
     assert main(["validate", str(path), "--rescale"]) == 0
+
+
+@pytest.mark.parametrize("command", ["validate", "analyze"])
+@pytest.mark.parametrize("changes, flags, code", [
+    # cov + cov^T overflows, so no Heisenberg eigenvalue can be computed
+    ({"cov": (1e308 * np.eye(4)).tolist()}, [], 4),
+    # the rescale factor 0.5 / sn overflows to inf
+    ({"convention": {"sn": 1e-310, "ordering": "interleaved"}}, ["--rescale"], 2),
+])
+def test_overflowing_state_file_exits_with_one_error_line(
+        tmp_path, capsys, command, changes, flags, code):
+    doc = {**state_to_dict(make_standard_form(EXP)), **changes}
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, str(path), *flags]) == code
+    assert not caught, [str(w.message) for w in caught]
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
 
 
 def test_transform_writes_final_state(source_file, distribution_cfg, tmp_path,
@@ -188,7 +210,7 @@ def readme_exit_codes():
 
 def test_every_error_class_exits_with_its_readme_code():
     readme = readme_exit_codes()
-    assert readme["PipelineStepError"] == 3 and len(readme) == 5
+    assert readme["PipelineStepError"] == 3 and len(readme) == 4
     classes = [cls for cls in vars(errors).values()
                if isinstance(cls, type) and issubclass(cls, errors.CVModesError)]
     for cls in classes:

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from cvmodes import StandardFormParams, make_standard_form, save_state
 from cvmodes.cli import main
+from cvmodes.io import state_to_dict
 from cvmodes.transforms import opo_source
 
 FUZZ = settings(
@@ -36,6 +37,8 @@ json_values = st.recursive(
     max_leaves=8,
 )
 DELETE = object()
+SOURCE_DOC = state_to_dict(
+    make_standard_form(StandardFormParams(0.72, 0.72, 0.51, -0.51)))
 
 
 def _paths(doc, prefix=()):
@@ -194,20 +197,28 @@ def test_transform_any_config_exits_cleanly(workdir, config):
 
 
 @FUZZ
-@given(command=st.sampled_from(["validate", "analyze"]), file=inputs)
-@example(command="validate", file=(".json", b"\xff\xfe{}"))
-@example(command="validate", file=(".csv", b"0.5,\xff\n"))
-@example(command="validate", file=(".json", None))
+@given(command=st.sampled_from(["validate", "analyze"]), file=inputs,
+       rescale=st.booleans())
+@example(command="validate", file=(".json", b"\xff\xfe{}"), rescale=False)
+@example(command="validate", file=(".csv", b"0.5,\xff\n"), rescale=False)
+@example(command="validate", file=(".json", None), rescale=False)
 @example(command="analyze", file=(".json", encode({
-    "convention": None, "register": [], "mean": [], "cov": []})))
+    "convention": None, "register": [], "mean": [], "cov": []})), rescale=False)
 @example(command="analyze", file=(".json", encode({
     "convention": {"sn": 0.5, "ordering": "interleaved"},
-    "register": 5, "mean": [], "cov": []})))
-def test_state_commands_on_any_file_exit_cleanly(workdir, command, file):
+    "register": 5, "mean": [], "cov": []})), rescale=False)
+@example(command="validate", file=(".json", encode({
+    **SOURCE_DOC, "cov": [[1e308 * (i == j) for j in range(4)] for i in range(4)]
+})), rescale=False)
+@example(command="analyze", file=(".json", encode({
+    **SOURCE_DOC, "convention": {"sn": 1e-310, "ordering": "interleaved"}
+})), rescale=True)
+def test_state_commands_on_any_file_exit_cleanly(workdir, command, file, rescale):
     suffix, content = file
     if content is None:
         path = workdir / "a_directory"
     else:
         path = workdir / f"state{suffix}"
         path.write_bytes(content)
-    assert_clean_exit([command, str(path), "--register", "a:H:0,b:V:0"])
+    assert_clean_exit([command, str(path), "--register", "a:H:0,b:V:0",
+                       *["--rescale"] * rescale])

@@ -133,6 +133,16 @@ def test_standard_form_needs_two_mode_register():
         make_standard_form(EXP, register=circular_register(3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_state_rejects_non_finite_entries(bad):
+    cov, mean = 0.5 * np.eye(4), np.zeros(4)
+    cov[1, 1], mean[2] = bad, bad
+    with pytest.raises(PhysicalityViolation, match="cov entries are not all finite"):
+        GaussianState(two_mode_register(), np.zeros(4), cov)
+    with pytest.raises(PhysicalityViolation, match="mean entries are not all finite"):
+        GaussianState(two_mode_register(), mean, 0.5 * np.eye(4))
+
+
 # -- validate ----------------------------------------------------------------
 
 def test_validate_vacuum_four_modes():

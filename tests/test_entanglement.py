@@ -33,7 +33,8 @@ from cvmodes.entanglement import (
     THRESHOLD_BAND,
     enumerate_bipartitions,
 )
-from cvmodes.errors import ConvergenceStall, IndexOutOfRange, NumericalFailure
+from cvmodes import entanglement
+from cvmodes.errors import DuplicateIndex, IndexOutOfRange, NumericalFailure
 
 from oracles import (
     gklc_reference,
@@ -109,6 +110,8 @@ def test_partial_transpose_rejects_empty_or_bad_side():
         partial_transpose(state, [])
     with pytest.raises(IndexOutOfRange):
         partial_transpose(state, [5])
+    with pytest.raises(DuplicateIndex):
+        partial_transpose(state, [1, 1])
 
 
 # -- symplectic eigenvalues ------------------------------------------------------
@@ -333,36 +336,24 @@ def test_iterative_pair_verdict_pattern():
         assert verdict.status is want, (i, j)
 
 
-def test_iterative_validates_arguments():
-    state = make_standard_form(EXP)
-    with pytest.raises(ValueError):
-        iterative_separability(state, AB, max_iter=0)
-    with pytest.raises(ValueError):
-        iterative_separability(state, AB, tol=0.0)
-    # the scan checks them up front, even when no split escalates
-    with pytest.raises(ValueError, match="max_iter must be >= 1"):
-        bipartition_scan(distributed_state(), max_iter=0)
-    with pytest.raises(ValueError, match="tol must be > 0"):
-        bipartition_scan(distributed_state(), tol=-1.0)
-
-
-def test_stacked_gklc_equals_split_by_split_reference():
+def test_stacked_gklc_equals_split_by_split_reference(monkeypatch):
     # every split goes through iterative_separability (a stack of one);
     # the scan stacks its escalated splits, and stacks whose splits finish
-    # at different rounds exercise the shrinking live set.  max_iter=2
+    # at different rounds exercise the shrinking live set.  A budget of 2
     # leaves some splits Inconclusive.
     states = [*random_mixed_states(49), distributed_state(),
               vacuum_state(circular_register(4))]
     mixed_rounds = 0
     for max_iter in (2, DEFAULT_MAX_ITER):
+        monkeypatch.setattr(entanglement, "DEFAULT_MAX_ITER", max_iter)
         for state in states:
             rounds = set()
-            for split, verdict in bipartition_scan(state, max_iter=max_iter):
+            for split, verdict in bipartition_scan(state):
                 expected = gklc_reference(
                     state.cov, (split.side_a, split.side_b), max_iter,
                     DEFAULT_ITER_TOL, THRESHOLD_BAND,
                 )
-                alone = iterative_separability(state, split, max_iter=max_iter)
+                alone = iterative_separability(state, split)
                 assert (alone.status, alone.iterations) == expected, split
                 if verdict.method is Method.ITERATIVE:
                     assert (verdict.status, verdict.iterations) == expected, split
@@ -371,28 +362,10 @@ def test_stacked_gklc_equals_split_by_split_reference():
     assert mixed_rounds > 0
 
 
-def test_stalled_correlation_norm_raises_like_the_reference(monkeypatch):
-    # no known input stalls, so pin the correlation norm at a constant
-    # that no certificate accepts; every 2|2 split of the vacuum stalls
-    true_norm = np.linalg.norm
-    monkeypatch.setattr(np.linalg, "norm",
-                        lambda *args, **kwargs: 5.0 + 0.0 * true_norm(*args, **kwargs))
-    state = vacuum_state(circular_register(4))
-    split = Bipartition((0, 1), (2, 3))
-    with pytest.raises(RuntimeError) as expected:
-        gklc_reference(state.cov, (split.side_a, split.side_b),
-                       DEFAULT_MAX_ITER, DEFAULT_ITER_TOL, THRESHOLD_BAND)
-    assert "after 11 iterations" in str(expected.value)
-    with pytest.raises(ConvergenceStall) as alone:
-        iterative_separability(state, split)
-    with pytest.raises(ConvergenceStall) as scanned:
-        bipartition_scan(state)
-    assert str(alone.value) == str(scanned.value) == str(expected.value)
-
-
-def test_iterative_inconclusive_when_budget_exhausted():
+def test_iterative_inconclusive_when_budget_exhausted(monkeypatch):
     # the source state needs a second round for its certificate
-    verdict = iterative_separability(make_standard_form(EXP), AB, max_iter=1)
+    monkeypatch.setattr(entanglement, "DEFAULT_MAX_ITER", 1)
+    verdict = iterative_separability(make_standard_form(EXP), AB)
     assert verdict.status is Status.INCONCLUSIVE
     assert verdict.iterations == 1
 
