@@ -9,6 +9,7 @@ Analysis verdicts are data and never affect the exit code.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -121,7 +122,8 @@ def build_parser():
                         help="report format (default: text)")
     parser.add_argument("--tol", type=float, default=THRESHOLD_BAND,
                         help="one-sided witness tolerance band below the "
-                             "shot-noise unit (default: 1e-9)")
+                             "shot-noise unit, finite and in [0, 1/2) "
+                             "(default: 1e-9)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check a state file")
@@ -160,9 +162,12 @@ def build_parser():
     return parser
 
 
+# built on the first call of main, not at import, then reused
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except CVModesError as exc:

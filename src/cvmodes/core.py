@@ -244,14 +244,19 @@ def make_standard_form(params, register=None):
     if len(register) != 2:
         raise DimensionMismatch("standard form is a two-mode constructor")
     state = GaussianState(register, np.zeros(4), standard_form_matrix(params))
-    report = validate(state)
-    if not report.physical:
-        raise PhysicalityViolation(
-            f"standard-form parameters {params} give an unphysical matrix "
-            f"(min Heisenberg eigenvalue {report.min_heisenberg_eigenvalue:.3e})",
-            min_eigenvalue=report.min_heisenberg_eigenvalue,
-        )
-    return state
+    return _require_physical(state, params)
+
+
+def _heisenberg_floor(gamma):
+    """Smallest eigenvalue of gamma + i Omega, per matrix of a stack.
+
+    Not symmetrized: ``eigvalsh`` reads only the lower triangle of gamma.
+    """
+    omega = symplectic_form(gamma.shape[-1] // 2)
+    try:
+        return np.linalg.eigvalsh(gamma + 1j * omega)[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"Heisenberg eigenvalues: {exc}") from exc
 
 
 def min_heisenberg_eigenvalue(cov):
@@ -259,13 +264,8 @@ def min_heisenberg_eigenvalue(cov):
 
     Raises NumericalFailure if the eigensolver fails (entries overflow).
     """
-    n = cov.shape[0] // 2
     with np.errstate(over="ignore"):
-        herm = 0.5 * (cov + cov.T) + 0.5j * symplectic_form(n)
-    try:
-        return float(np.linalg.eigvalsh(herm)[0])
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"Heisenberg eigenvalues: {exc}") from exc
+        return float(0.5 * _heisenberg_floor(cov + cov.T))
 
 
 def validate(state):
@@ -281,6 +281,19 @@ def validate(state):
     min_eig = min_heisenberg_eigenvalue(state.cov)
     physical = symmetric and min_eig >= -TOL_PHYSICALITY
     return ValidityReport(symmetric, physical, min_eig)
+
+
+def _require_physical(state, where):
+    """``state`` if :func:`validate` finds it physical, else PhysicalityViolation."""
+    report = validate(state)
+    if not report.physical:
+        min_eig = report.min_heisenberg_eigenvalue
+        problem = (f"violates the Heisenberg bound (min eigenvalue {min_eig:.3e})"
+                   if report.symmetric else
+                   f"is not symmetric within {TOL_SYMMETRY:g}")
+        raise PhysicalityViolation(f"{where}: covariance matrix {problem}",
+                                   min_eigenvalue=min_eig)
+    return state
 
 
 def _quadrature_indices(subset):

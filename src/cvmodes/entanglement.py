@@ -29,9 +29,10 @@ from .core import (
     TOL_SYMMETRY,
     _check_subset,
     _cov_blocks,
+    _heisenberg_floor,
     symplectic_form,
 )
-from .errors import IndexOutOfRange, NumericalFailure
+from .errors import IndexOutOfRange, NumericalFailure, ParseError
 
 THRESHOLD_BAND = 1e-9
 """One-sided tolerance below SHOT_NOISE for the entanglement witness."""
@@ -64,12 +65,11 @@ class Bipartition:
     def __post_init__(self):
         a = tuple(sorted(int(k) for k in self.side_a))
         b = tuple(sorted(int(k) for k in self.side_b))
-        if not a or not b:
-            raise IndexOutOfRange("bipartition sides must be nonempty")
-        if set(a) & set(b):
-            raise IndexOutOfRange(f"bipartition sides overlap: {a} / {b}")
-        if len(set(a)) != len(a) or len(set(b)) != len(b):
-            raise IndexOutOfRange("bipartition sides contain repeats")
+        if not a or not b or len(set(a + b)) != len(a + b):
+            raise IndexOutOfRange(
+                f"bipartition sides must be nonempty with no index repeated: "
+                f"{a} / {b}"
+            )
         object.__setattr__(self, "side_a", a)
         object.__setattr__(self, "side_b", b)
 
@@ -176,41 +176,42 @@ def symplectic_eigenvalues(sigma):
 
 
 def log_negativity_from_spectrum(nu_tilde):
-    """Sum of max(0, -ln 2 nu) over a partially transposed spectrum."""
+    """Sum of max(0, -ln 2 nu) over the last axis: a float, or one per row."""
     vals = np.asarray(nu_tilde, dtype=float)
-    return float(np.sum(np.maximum(0.0, -np.log(2.0 * vals))))
+    out = np.sum(np.maximum(0.0, -np.log(2.0 * vals)), axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def _check_covering(bipartition, n):
-    covered = set(bipartition.side_a) | set(bipartition.side_b)
-    if covered != set(range(n)):
+    if sorted(bipartition.side_a + bipartition.side_b) != list(range(n)):
         raise IndexOutOfRange(
             f"bipartition {bipartition.side_a}|{bipartition.side_b} does not "
             f"cover the {n}-mode register"
         )
 
 
-def _ppt_from_spectrum(nu, bipartition, band):
-    # The PPT decision on an already computed partially transposed spectrum.
-    witness = float(nu[0])
-    logneg = log_negativity_from_spectrum(nu)
-    if witness < SHOT_NOISE - band:
-        status = Status.ENTANGLED
-    elif min(len(bipartition.side_a), len(bipartition.side_b)) == 1:
-        status = Status.SEPARABLE
-    else:
-        status = Status.INCONCLUSIVE
-    return EntanglementVerdict(status, witness, logneg, Method.PPT)
-
-
 def _ppt(cov, splits, band):
     """PPT verdict of each split on its slice of the stack ``cov``.
 
     ``cov`` is a (k, 2n, 2n) stack or one (2n, 2n) matrix for all splits.
+    Every decider passes here, so this is where ``band`` is checked.
     """
+    if not 0.0 <= band < SHOT_NOISE:
+        raise ParseError(
+            f"tolerance band must be finite and in [0, {SHOT_NOISE}), got {band!r}"
+        )
     masks = _sign_masks(cov.shape[-1] // 2, [s.side_b for s in splits])
     spectra = symplectic_eigenvalues(cov * masks)
-    return [_ppt_from_spectrum(nu, s, band) for s, nu in zip(splits, spectra)]
+    witness = spectra[:, 0]
+    one_by_n = np.array([min(len(s.side_a), len(s.side_b)) == 1 for s in splits])
+    # index into Status: 0 entangled, 1 separable, 2 inconclusive
+    codes = np.where(witness < SHOT_NOISE - band, 0, np.where(one_by_n, 1, 2))
+    statuses = list(Status)
+    return [
+        EntanglementVerdict(statuses[c], w, logneg, Method.PPT)
+        for c, w, logneg in zip(codes.tolist(), witness.tolist(),
+                                log_negativity_from_spectrum(spectra).tolist())
+    ]
 
 
 def ppt_verdict(state, bipartition, band=THRESHOLD_BAND):
@@ -252,12 +253,12 @@ def _gklc(gamma, m, band):
     out = [(Status.INCONCLUSIVE, DEFAULT_MAX_ITER)] * k
     live = np.arange(k)
     for it in range(1, DEFAULT_MAX_ITER + 1):
-        min_a = np.linalg.eigvalsh(a_blk - 1j * j_a)[:, 0]
+        min_a = _heisenberg_floor(a_blk)
         norm_c = np.linalg.norm(c_blk, 2, axis=(-2, -1))
         floor = min_a
         above_norm = min_a >= norm_c - 1e-12
         if it == 1:
-            min_b = np.linalg.eigvalsh(b_blk - 1j * j_b)[:, 0]
+            min_b = _heisenberg_floor(b_blk)
             floor = np.minimum(min_a, min_b)
             above_norm &= min_b >= norm_c - 1e-12
         entangled = floor < -ent_eps

@@ -18,9 +18,9 @@ from .core import (
     GaussianState,
     ModeLabel,
     ModeRegister,
-    validate,
+    _require_physical,
 )
-from .errors import ConventionMismatch, ParseError, PhysicalityViolation
+from .errors import ConventionMismatch, ParseError
 
 ORDERING = "interleaved"
 
@@ -125,20 +125,7 @@ def state_from_dict(data, require_physical=True, rescale=False, where="state"):
             mean = np.multiply(mean, math.sqrt(factor))
             cov = np.multiply(cov, factor)
     state = GaussianState(register, mean, cov)
-
-    if require_physical:
-        report = validate(state)
-        if not report.symmetric:
-            raise PhysicalityViolation(
-                f"{where}: covariance matrix is not symmetric within 1e-10"
-            )
-        if not report.physical:
-            raise PhysicalityViolation(
-                f"{where}: covariance matrix violates the Heisenberg bound "
-                f"(min eigenvalue {report.min_heisenberg_eigenvalue:.3e})",
-                min_eigenvalue=report.min_heisenberg_eigenvalue,
-            )
-    return state
+    return _require_physical(state, where) if require_physical else state
 
 
 def read_json(path):

@@ -19,6 +19,7 @@ from . import fixtures
 from .core import (
     GaussianState,
     StandardFormParams,
+    ValidityReport,
     make_standard_form,
     purity,
     reorder,
@@ -146,7 +147,11 @@ class StepDiagnostics:
     tags: tuple
     total_photons: float
     purity: float
-    min_heisenberg_eigenvalue: float
+    validity: ValidityReport
+
+    @property
+    def min_heisenberg_eigenvalue(self):
+        return self.validity.min_heisenberg_eigenvalue
 
 
 @dataclass(frozen=True)
@@ -158,56 +163,52 @@ class PipelineResult:
 
 
 def _diag(index, name, state):
-    report = validate(state)
     return StepDiagnostics(
         index=index,
         step=name,
         tags=state.register.tags,
         total_photons=total_photon_number(state),
         purity=purity(state),
-        min_heisenberg_eigenvalue=report.min_heisenberg_eigenvalue,
+        validity=validate(state),
     )
 
 
 def run_pipeline(config, state=None, band=THRESHOLD_BAND):
     """Execute a pipeline config; ``state`` overrides the config source.
 
-    The first failing step aborts the run with its module error wrapped
-    in :class:`PipelineStepError` carrying the step index (the source is
-    step 0, where a ``ValueError`` of the source model is wrapped too).
-    Identical configs produce identical results.
+    The first failing step, or the diagnostics of its output, aborts the
+    run with its module error wrapped in :class:`PipelineStepError`
+    carrying the step index (the source is step 0, where a ``ValueError``
+    of the source model is wrapped too).  Identical configs produce
+    identical results.
     """
-    if state is None:
-        try:
+    try:
+        if state is None:
             if config.source is None:
                 raise ParseError(
                     "pipeline has no source and no input state was given"
                 )
             state = config.source()
-        except (CVModesError, ValueError) as exc:
-            raise PipelineStepError(0, "source", exc) from exc
-    diagnostics = [_diag(0, "source", state)]
+        diagnostics = [_diag(0, "source", state)]
+    except (CVModesError, ValueError) as exc:
+        raise PipelineStepError(0, "source", exc) from exc
     for k, (op, run) in enumerate(config.steps, start=1):
         try:
             state = run(state)
+            diagnostics.append(_diag(k, op, state))
         except CVModesError as exc:
             raise PipelineStepError(k, op, exc) from exc
-        diagnostics.append(_diag(k, op, state))
 
-    analyses = {}
+    last = diagnostics[-1]
+    facts = {"validate": last.validity, "purity": last.purity,
+             "photons": last.total_photons}
+    analyses = {name: facts[name] for name in config.analyses if name in facts}
     pairwise = {}
+    if "pairwise" in config.analyses:
+        pairwise = pairwise_entanglement_map(state, band=band).pairwise
     bipartitions = ()
-    for name in config.analyses:
-        if name == "validate":
-            analyses["validate"] = validate(state)
-        elif name == "purity":
-            analyses["purity"] = diagnostics[-1].purity
-        elif name == "photons":
-            analyses["photons"] = diagnostics[-1].total_photons
-        elif name == "pairwise":
-            pairwise = pairwise_entanglement_map(state, band=band).pairwise
-        elif name == "scan":
-            bipartitions = tuple(bipartition_scan(state, band=band))
+    if "scan" in config.analyses:
+        bipartitions = tuple(bipartition_scan(state, band=band))
     report = EntanglementReport(state.register.tags, pairwise, bipartitions)
     return PipelineResult(state, report, tuple(diagnostics), analyses)
 

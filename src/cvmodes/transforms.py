@@ -327,6 +327,9 @@ def opo_source(r, eta=1.0):
         raise ValueError(f"squeezing parameter must be >= 0, got {r}")
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"efficiency must be in (0, 1], got {eta}")
-    a = SHOT_NOISE * (eta * math.cosh(2.0 * r) + 1.0 - eta)
-    c = SHOT_NOISE * eta * math.sinh(2.0 * r)
+    try:
+        a = SHOT_NOISE * (eta * math.cosh(2.0 * r) + 1.0 - eta)
+        c = SHOT_NOISE * eta * math.sinh(2.0 * r)
+    except OverflowError as exc:
+        raise ValueError(f"squeezing parameter r = {r} overflows cosh(2r)") from exc
     return make_standard_form(StandardFormParams(a, a, c, -c))

@@ -241,3 +241,29 @@ def test_output_into_missing_directory_exit_code(source_file, distribution_cfg,
                  "--output", str(out_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-0.001"])
+@pytest.mark.parametrize("command", [["reproduce-paper"], ["analyze", "VACUUM"]])
+def test_tol_outside_the_band_range_exits_2(tmp_path, capsys, tol, command):
+    path = tmp_path / "vac.json"
+    save_state(load_state_fixture("vacuum4"), path)
+    argv = [f"--tol={tol}"] + [str(path) if a == "VACUUM" else a for a in command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "tolerance band" in captured.err
+
+
+def test_parser_is_reused_without_carrying_options(source_file, capsys):
+    outputs = []
+    for argv in (["--format", "json", "analyze", source_file],
+                 ["analyze", source_file],
+                 ["--format", "json", "analyze", source_file]):
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[2]
+    json.loads(outputs[0])
+    assert outputs[1].startswith("Pairwise entanglement")
+    assert "purity:" in outputs[1] and "purity" not in outputs[0]

@@ -32,9 +32,15 @@ from cvmodes.entanglement import (
     DEFAULT_MAX_ITER,
     THRESHOLD_BAND,
     enumerate_bipartitions,
+    log_negativity_from_spectrum,
 )
 from cvmodes import entanglement
-from cvmodes.errors import DuplicateIndex, IndexOutOfRange, NumericalFailure
+from cvmodes.errors import (
+    DuplicateIndex,
+    IndexOutOfRange,
+    NumericalFailure,
+    ParseError,
+)
 
 from oracles import (
     gklc_reference,
@@ -267,6 +273,42 @@ def test_ppt_vacuum_separable():
     single = ppt_verdict(state, Bipartition((0,), (1, 2, 3)))
     assert single.status is Status.SEPARABLE
     assert single.log_negativity == 0.0
+
+
+@pytest.mark.parametrize("side_a, side_b", [
+    ((), (0, 1)),          # empty side A
+    ((0, 1), ()),          # empty side B
+    ((0, 1), (1, 2)),      # overlap
+    ((0, 0), (1,)),        # repeated index within a side
+])
+def test_bipartition_rejects_empty_overlapping_or_repeated_sides(side_a, side_b):
+    with pytest.raises(IndexOutOfRange):
+        Bipartition(side_a, side_b)
+
+
+def test_log_negativity_of_a_stack_equals_its_rows():
+    for state in random_mixed_states(49):
+        splits = enumerate_bipartitions(state.n_modes)
+        stack = symplectic_eigenvalues(
+            np.stack([partial_transpose(state, s.side_b) for s in splits])
+        )
+        stacked = log_negativity_from_spectrum(stack)
+        assert stacked.shape == (len(splits),)
+        rows = [log_negativity_from_spectrum(nu) for nu in stack]
+        assert all(type(v) is float for v in rows)
+        assert stacked.tolist() == rows
+
+
+@pytest.mark.parametrize("band", [float("nan"), float("inf"), -0.001, 0.5])
+def test_every_decider_rejects_a_band_outside_zero_to_shot_noise(band):
+    state = distributed_state()
+    split = Bipartition((0, 1), (2, 3))
+    for decide in (lambda: ppt_verdict(state, split, band=band),
+                   lambda: iterative_separability(state, split, band=band),
+                   lambda: pairwise_entanglement_map(state, band=band),
+                   lambda: bipartition_scan(state, band=band)):
+        with pytest.raises(ParseError, match="tolerance band"):
+            decide()
 
 
 def test_ppt_requires_covering_bipartition():

@@ -13,8 +13,14 @@ from cvmodes import (
     reproduce_paper,
     run_pipeline,
     sigma4_closed_form,
+    validate,
 )
-from cvmodes.errors import ParseError, PhysicalityViolation, PipelineStepError
+from cvmodes.errors import (
+    NonPositiveDeterminant,
+    ParseError,
+    PhysicalityViolation,
+    PipelineStepError,
+)
 from cvmodes.pipeline import PipelineConfig, reproduce_paper_json
 
 EXP = StandardFormParams(0.72, 0.72, 0.51, -0.51)
@@ -71,6 +77,29 @@ def test_empty_steps_with_validate_echo_input():
     result = run_pipeline(config)
     assert np.array_equal(result.final_state.cov, make_standard_form(EXP).cov)
     assert result.analyses["validate"].physical
+
+
+def test_validate_analysis_is_the_final_step_report():
+    result = run_pipeline(distribution_config(source=EXP_SOURCE,
+                                              analyses=("validate",)))
+    report = result.analyses["validate"]
+    assert report is result.diagnostics[-1].validity
+    assert report == validate(result.final_state)
+    assert result.diagnostics[-1].min_heisenberg_eigenvalue == \
+        report.min_heisenberg_eigenvalue
+
+
+@pytest.mark.parametrize("r, cause, code", [
+    (400.0, ValueError, 3),              # cosh(2r) overflows in the model
+    (200.0, NonPositiveDeterminant, 4),  # the diagnostics of the source fail
+])
+def test_extreme_squeezing_fails_at_step_zero(r, cause, code):
+    with pytest.raises(PipelineStepError) as err:
+        run_pipeline(distribution_config(source={"kind": "opo", "r": r}))
+    assert err.value.step_index == 0
+    assert err.value.step_name == "source"
+    assert isinstance(err.value.cause, cause)
+    assert err.value.exit_code == code
 
 
 def test_opo_vacuum_through_pipeline_all_separable():
