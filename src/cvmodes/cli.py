@@ -14,7 +14,7 @@ import json
 import sys
 
 from .core import validate
-from .entanglement import THRESHOLD_BAND
+from .entanglement import THRESHOLD_BAND, _check_band
 from .errors import CVModesError, ParseError
 from .io import load_cov_csv, load_state, parse_register_spec, save_state, state_to_dict
 from .pipeline import (
@@ -169,6 +169,7 @@ _parser = functools.cache(build_parser)
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
+        _check_band(args.tol)
         return args.func(args)
     except CVModesError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -13,6 +13,7 @@ concurrent workers.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -139,7 +140,10 @@ def symplectic_form(n):
 # ---------------------------------------------------------------------------
 
 def _frozen_array(values, shape, what):
-    arr = np.array(values, dtype=float)
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DimensionMismatch(f"{what} is not an array of numbers: {exc}") from exc
     if arr.shape != shape:
         raise DimensionMismatch(f"{what} must have shape {shape}, got {arr.shape}")
     if not np.isfinite(arr).all():
@@ -152,11 +156,13 @@ def _frozen_array(values, shape, what):
 class GaussianState:
     """Gaussian state: register, quadrature mean vector, covariance matrix.
 
-    Construction checks dimensions and finiteness only: a NaN or infinite
-    entry raises PhysicalityViolation.  Physicality and symmetry are
-    checked by :func:`validate` (and enforced by the constructors that
-    promise physical output), so that diagnostic code can still hold and
-    inspect invalid matrices.
+    Construction checks dimensions and finiteness only: non-numbers or a
+    wrong shape raise DimensionMismatch, a NaN or infinite entry raises
+    PhysicalityViolation.  Physicality and symmetry are checked by
+    :func:`validate` (and enforced by the constructors that promise
+    physical output), so that diagnostic code can still hold and inspect
+    invalid matrices.  That report is computed once, on first use, and
+    kept in :attr:`validity`.
     """
 
     register: ModeRegister
@@ -171,6 +177,15 @@ class GaussianState:
     @property
     def n_modes(self):
         return len(self.register)
+
+    @cached_property
+    def validity(self):
+        """The :class:`ValidityReport` of ``cov``; see :func:`validate`."""
+        asym = float(np.abs(self.cov - self.cov.T).max())
+        symmetric = asym <= TOL_SYMMETRY
+        min_eig = min_heisenberg_eigenvalue(self.cov)
+        physical = symmetric and min_eig >= -TOL_PHYSICALITY
+        return ValidityReport(symmetric, physical, min_eig)
 
     def __eq__(self, other):
         if not isinstance(other, GaussianState):
@@ -274,18 +289,15 @@ def validate(state):
     Returns a :class:`ValidityReport`; never raises on an invalid matrix
     (that is the point of the report).  ``min_heisenberg_eigenvalue`` is
     computed on the symmetrized matrix when the input is asymmetric; entries
-    that overflow there raise NumericalFailure.
+    that overflow there raise NumericalFailure.  The report is computed
+    once per state and kept: every later call returns the same object.
     """
-    asym = float(np.abs(state.cov - state.cov.T).max())
-    symmetric = asym <= TOL_SYMMETRY
-    min_eig = min_heisenberg_eigenvalue(state.cov)
-    physical = symmetric and min_eig >= -TOL_PHYSICALITY
-    return ValidityReport(symmetric, physical, min_eig)
+    return state.validity
 
 
 def _require_physical(state, where):
     """``state`` if :func:`validate` finds it physical, else PhysicalityViolation."""
-    report = validate(state)
+    report = state.validity
     if not report.physical:
         min_eig = report.min_heisenberg_eigenvalue
         problem = (f"violates the Heisenberg bound (min eigenvalue {min_eig:.3e})"
@@ -358,16 +370,19 @@ def mean_photon_number(state, mode_index):
     n_k = (Var X + Var Y + <X>^2 + <Y>^2 - 1) / 2 in shot-noise units.
     """
     k = _check_subset([mode_index], state.n_modes)[0]
-    vx = state.cov[2 * k, 2 * k]
-    vy = state.cov[2 * k + 1, 2 * k + 1]
-    mx = state.mean[2 * k]
-    my = state.mean[2 * k + 1]
-    return float((vx + vy + mx * mx + my * my - 1.0) / 2.0)
+    return float(_photon_numbers(state)[k])
+
+
+def _photon_numbers(state):
+    var = np.diagonal(state.cov)
+    mean = state.mean
+    return (var[0::2] + var[1::2] + mean[0::2] * mean[0::2]
+            + mean[1::2] * mean[1::2] - 1.0) / 2.0
 
 
 def total_photon_number(state):
     """Sum of mean photon numbers over all modes."""
-    return float(sum(mean_photon_number(state, k) for k in range(state.n_modes)))
+    return float(sum(_photon_numbers(state).tolist()))
 
 
 def purity(state):

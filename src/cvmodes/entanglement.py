@@ -141,7 +141,8 @@ def symplectic_eigenvalues(sigma):
 
     ``sigma`` is one matrix of shape (2n, 2n) or a stack of shape
     (..., 2n, 2n); the result has shape (..., n), so a single matrix gives
-    shape (n,).  The eigenvalues of i Omega sigma come in +-nu pairs; the
+    shape (n,).  By Williamson's theorem the eigenvalues of i Omega sigma
+    are real, up to roundoff that is dropped, and come in +-nu pairs; the
     n positive values of each matrix are returned sorted ascending.  A
     physical covariance matrix has every nu >= SHOT_NOISE.  A stack costs
     one eigen-call and gives the same values, bit for bit, as one call
@@ -151,8 +152,7 @@ def symplectic_eigenvalues(sigma):
     ------
     NumericalFailure
         If any entry is not finite, or any matrix of the stack is visibly
-        asymmetric, not positive definite, or the eigenvalues of
-        Omega sigma have real parts above 1e-9 (all of which signal an
+        asymmetric or not positive definite (all of which signal an
         invalid input rather than roundoff).
     """
     sigma = np.asarray(sigma, dtype=float)
@@ -166,11 +166,6 @@ def symplectic_eigenvalues(sigma):
     if (np.linalg.eigvalsh(sigma)[..., 0] <= 0).any():
         raise NumericalFailure("matrix is not positive definite")
     ev = np.linalg.eigvals(symplectic_form(n) @ sigma)
-    max_re = float(np.abs(ev.real).max(initial=0.0))
-    if max_re > 1e-9:
-        raise NumericalFailure(
-            f"eigenvalues of Omega sigma have real parts up to {max_re:.3e}"
-        )
     mags = np.sort(np.abs(ev.imag), axis=-1)
     return 0.5 * (mags[..., 0::2] + mags[..., 1::2])
 
@@ -190,16 +185,21 @@ def _check_covering(bipartition, n):
         )
 
 
+def _check_band(band):
+    """ParseError unless ``band`` is finite and in [0, SHOT_NOISE)."""
+    if not 0.0 <= band < SHOT_NOISE:
+        raise ParseError(
+            f"tolerance band must be finite and in [0, {SHOT_NOISE}), got {band!r}"
+        )
+
+
 def _ppt(cov, splits, band):
     """PPT verdict of each split on its slice of the stack ``cov``.
 
     ``cov`` is a (k, 2n, 2n) stack or one (2n, 2n) matrix for all splits.
     Every decider passes here, so this is where ``band`` is checked.
     """
-    if not 0.0 <= band < SHOT_NOISE:
-        raise ParseError(
-            f"tolerance band must be finite and in [0, {SHOT_NOISE}), got {band!r}"
-        )
+    _check_band(band)
     masks = _sign_masks(cov.shape[-1] // 2, [s.side_b for s in splits])
     spectra = symplectic_eigenvalues(cov * masks)
     witness = spectra[:, 0]

@@ -20,7 +20,12 @@ from .core import (
     ModeRegister,
     _require_physical,
 )
-from .errors import ConventionMismatch, ParseError
+from .errors import (
+    ConventionMismatch,
+    DimensionMismatch,
+    ParseError,
+    PhysicalityViolation,
+)
 
 ORDERING = "interleaved"
 
@@ -67,6 +72,14 @@ def _parse_register(entries, where="register"):
         raise ParseError(f"{where}: {exc}") from exc
 
 
+def _state(register, mean, cov, where):
+    """``GaussianState(register, mean, cov)``; a construction error is a ParseError."""
+    try:
+        return GaussianState(register, mean, cov)
+    except (DimensionMismatch, PhysicalityViolation) as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+
+
 def state_from_dict(data, require_physical=True, rescale=False, where="state"):
     """Build a state from the parsed file dict.
 
@@ -81,7 +94,7 @@ def state_from_dict(data, require_physical=True, rescale=False, where="state"):
     ordering = _require(convention, "ordering", f"{where}.convention")
     try:
         sn = float(sn)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}.convention.sn: not a number") from exc
     if not 0 < sn < math.inf:
         raise ParseError(f"{where}.convention.sn must be finite and > 0, got {sn}")
@@ -92,26 +105,8 @@ def state_from_dict(data, require_physical=True, rescale=False, where="state"):
         )
 
     register = _parse_register(_require(data, "register", where))
-    n = len(register)
-    mean = _require(data, "mean", where)
-    cov = _require(data, "cov", where)
-    try:
-        mean = [float(v) for v in mean]
-        cov = [[float(v) for v in row] for row in cov]
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{where}: mean/cov entries must be numbers") from exc
-    if not all(math.isfinite(v) for v in mean) or not all(
-        math.isfinite(v) for row in cov for v in row
-    ):
-        raise ParseError(f"{where}: mean/cov entries must be finite")
-    if len(mean) != 2 * n:
-        raise ParseError(
-            f"{where}: mean has length {len(mean)}, register implies {2 * n}"
-        )
-    if len(cov) != 2 * n or any(len(row) != 2 * n for row in cov):
-        raise ParseError(
-            f"{where}: cov is not a {2 * n}x{2 * n} row-major matrix"
-        )
+    state = _state(register, _require(data, "mean", where),
+                   _require(data, "cov", where), where)
 
     if not math.isclose(sn, SHOT_NOISE, rel_tol=0.0, abs_tol=1e-12):
         if not rescale:
@@ -122,9 +117,8 @@ def state_from_dict(data, require_physical=True, rescale=False, where="state"):
         factor = SHOT_NOISE / sn
         # an overflow gives non-finite entries, which GaussianState rejects
         with np.errstate(over="ignore", invalid="ignore"):
-            mean = np.multiply(mean, math.sqrt(factor))
-            cov = np.multiply(cov, factor)
-    state = GaussianState(register, mean, cov)
+            state = _state(register, state.mean * math.sqrt(factor),
+                           state.cov * factor, where)
     return _require_physical(state, where) if require_physical else state
 
 
@@ -180,16 +174,8 @@ def load_cov_csv(path, register, require_physical=True):
             f"{path}: expected a {2 * n}x{2 * n} matrix for the "
             f"{n}-mode register, got {len(rows)} rows"
         )
-    data = {
-        "convention": {"sn": SHOT_NOISE, "ordering": ORDERING},
-        "register": [
-            {"tag": m.tag, "polarization": m.polarization, "oam": m.oam}
-            for m in register
-        ],
-        "mean": [0.0] * (2 * n),
-        "cov": rows,
-    }
-    return state_from_dict(data, require_physical=require_physical, where=str(path))
+    state = _state(register, np.zeros(2 * n), rows, str(path))
+    return _require_physical(state, str(path)) if require_physical else state
 
 
 def parse_register_spec(spec):

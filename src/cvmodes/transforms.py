@@ -29,7 +29,6 @@ from .core import (
 )
 from .errors import (
     BadPolarization,
-    DuplicateLabel,
     NonSymplectic,
     NotCircular,
     RegisterMismatch,
@@ -136,16 +135,11 @@ def embed_with_vacua(state, vacuum_labels):
     cov gains a SHOT_NOISE identity block per added mode, the mean is
     zero-padded, and the register is extended at the end.  Use
     :func:`cvmodes.core.reorder` afterwards to interleave positions.
+    A label already in the register raises DuplicateLabel.
     """
     vacuum_labels = tuple(vacuum_labels)
     if not vacuum_labels:
         return state
-    existing = {(m.polarization, m.oam, m.tag) for m in state.register}
-    for lab in vacuum_labels:
-        key = (lab.polarization, lab.oam, lab.tag)
-        if key in existing:
-            raise DuplicateLabel(f"label {lab} already present in register")
-        existing.add(key)
     n_old = state.n_modes
     n_add = len(vacuum_labels)
     n = n_old + n_add

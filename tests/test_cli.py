@@ -6,7 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cvmodes import StandardFormParams, errors, make_standard_form, save_state
+from cvmodes import (
+    StandardFormParams,
+    distribution_config,
+    errors,
+    make_standard_form,
+    run_pipeline,
+    save_state,
+)
 from cvmodes.cli import main
 from cvmodes.fixtures import load_state_fixture
 from cvmodes.io import state_to_dict
@@ -90,6 +97,10 @@ def test_rescale_flag(tmp_path, capsys):
     ({"cov": (1e308 * np.eye(4)).tolist()}, [], 4),
     # the rescale factor 0.5 / sn overflows to inf
     ({"convention": {"sn": 1e-310, "ordering": "interleaved"}}, ["--rescale"], 2),
+    # 400-digit integer literals do not fit a float
+    ({"mean": [10 ** 400, 0, 0, 0]}, [], 2),
+    ({"cov": [[10 ** 400] * 4] * 4}, [], 2),
+    ({"convention": {"sn": 10 ** 400, "ordering": "interleaved"}}, [], 2),
 ])
 def test_overflowing_state_file_exits_with_one_error_line(
         tmp_path, capsys, command, changes, flags, code):
@@ -244,16 +255,33 @@ def test_output_into_missing_directory_exit_code(source_file, distribution_cfg,
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-0.001"])
-@pytest.mark.parametrize("command", [["reproduce-paper"], ["analyze", "VACUUM"]])
+@pytest.mark.parametrize("command", [
+    ["reproduce-paper"],
+    ["analyze", "VACUUM"],
+    ["validate", "VACUUM"],
+    # no analysis of this config runs a decider
+    ["transform", "VACUUM", "--config", "CONFIG"],
+])
 def test_tol_outside_the_band_range_exits_2(tmp_path, capsys, tol, command):
-    path = tmp_path / "vac.json"
-    save_state(load_state_fixture("vacuum4"), path)
-    argv = [f"--tol={tol}"] + [str(path) if a == "VACUUM" else a for a in command]
+    files = {"VACUUM": tmp_path / "vac.json", "CONFIG": tmp_path / "cfg.json"}
+    save_state(load_state_fixture("vacuum4"), files["VACUUM"])
+    files["CONFIG"].write_text(json.dumps({"analyses": ["validate"]}))
+    argv = [f"--tol={tol}"] + [str(files.get(a, a)) for a in command]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "tolerance band" in captured.err
+
+
+def test_analyze_strongly_squeezed_state(tmp_path, capsys):
+    result = run_pipeline(distribution_config(
+        source={"kind": "opo", "r": 9.0, "eta": 0.9}, analyses=()))
+    path = tmp_path / "r9.json"
+    save_state(result.final_state, path)
+    assert main(["--format", "json", "analyze", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["pairwise"]) == 6 and len(doc["bipartitions"]) == 7
 
 
 def test_parser_is_reused_without_carrying_options(source_file, capsys):

@@ -213,6 +213,13 @@ def test_transform_any_config_exits_cleanly(workdir, config):
 @example(command="analyze", file=(".json", encode({
     **SOURCE_DOC, "convention": {"sn": 1e-310, "ordering": "interleaved"}
 })), rescale=True)
+@example(command="validate", file=(".json", encode({
+    **SOURCE_DOC, "mean": [10 ** 400, 0, 0, 0]})), rescale=False)
+@example(command="validate", file=(".json", encode({
+    **SOURCE_DOC, "cov": [[10 ** 400] * 4] * 4})), rescale=False)
+@example(command="validate", file=(".json", encode({
+    **SOURCE_DOC, "convention": {"sn": 10 ** 400, "ordering": "interleaved"}
+})), rescale=False)
 def test_state_commands_on_any_file_exit_cleanly(workdir, command, file, rescale):
     suffix, content = file
     if content is None:

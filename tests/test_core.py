@@ -18,6 +18,7 @@ from cvmodes import (
     vacuum_state,
     validate,
 )
+from cvmodes import core
 from cvmodes.errors import (
     DimensionMismatch,
     DuplicateIndex,
@@ -150,6 +151,12 @@ def test_validate_vacuum_four_modes():
     assert report.symmetric
     assert report.physical
     assert abs(report.min_heisenberg_eigenvalue) <= 1e-12
+
+
+def test_validity_report_is_computed_once_and_kept():
+    state = random_state(np.random.default_rng(5))
+    assert validate(state) is validate(state)
+    assert validate(state) is state.validity
 
 
 def test_validate_zero_matrix_unphysical():
@@ -289,6 +296,21 @@ def test_distributed_photon_numbers():
     for k in range(4):
         assert mean_photon_number(state, k) == pytest.approx(0.11, abs=1e-12)
     assert total_photon_number(state) == pytest.approx(0.44, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_total_photons_are_the_left_to_right_sum_of_mode_photons(n, monkeypatch):
+    rng = np.random.default_rng(n)
+    lmat = rng.normal(size=(2 * n, 2 * n)) * 0.3
+    register = ModeRegister(tuple(ModeLabel("H", k, f"m{k}") for k in range(n)))
+    state = GaussianState(register, rng.normal(size=2 * n),
+                          0.5 * np.eye(2 * n) + lmat @ lmat.T)
+    expected = sum(mean_photon_number(state, k) for k in range(n))
+    checked = []
+    monkeypatch.setattr(core, "_check_subset",
+                        lambda *args: checked.append(args) or [])
+    assert total_photon_number(state) == expected
+    assert checked == []
 
 
 def test_mean_contributions_count_as_photons():

@@ -174,6 +174,12 @@ def test_register_spec_errors():
         {"tag": "b", "polarization": "V", "oam": 0}]}),
     ("latin1.json", b'{"convention": "\xe9"}'),
     ("latin1.csv", b"0.5,0,0,\xe9\n"),
+    # 400-digit integer literals do not fit a float
+    ("huge_mean.json", {"mean": [10 ** 400, 0, 0, 0]}),
+    ("huge_cov.json", {"cov": [[10 ** 400] * 4] * 4}),
+    ("huge_shot_noise.json", {"convention": {"sn": 10 ** 400,
+                                             "ordering": "interleaved"}}),
+    ("nan_cell.csv", b"nan,0,0,0\n0,0.5,0,0\n0,0,0.5,0\n0,0,0,0.5\n"),
 ])
 def test_malformed_files_are_a_parse_error(tmp_path, name, content):
     path = tmp_path / name

@@ -15,6 +15,7 @@ from cvmodes import (
     sigma4_closed_form,
     validate,
 )
+from cvmodes import core
 from cvmodes.errors import (
     NonPositiveDeterminant,
     ParseError,
@@ -100,6 +101,29 @@ def test_extreme_squeezing_fails_at_step_zero(r, cause, code):
     assert err.value.step_name == "source"
     assert isinstance(err.value.cause, cause)
     assert err.value.exit_code == code
+
+
+@pytest.mark.parametrize("r", [9.0, 10.0, 12.0])
+def test_strong_squeezing_gets_verdicts(r):
+    # Omega sigma of these partial transposes has eigenvalues with roundoff
+    # real parts of 2.5e-9 to 2.1e-6; the verdicts must not depend on them
+    result = run_pipeline(distribution_config(
+        source={"kind": "opo", "r": r, "eta": 0.9}))
+    entangled = {pair for pair, v in result.report.pairwise.items()
+                 if v.status is Status.ENTANGLED}
+    assert entangled == {(0, 2), (0, 3), (1, 2), (1, 3)}
+    assert len(result.report.pairwise) == 6
+    assert len(result.report.bipartitions) == 7
+
+
+def test_reproduce_paper_computes_one_heisenberg_floor_per_state(monkeypatch):
+    calls = []
+    floor = core.min_heisenberg_eigenvalue
+    monkeypatch.setattr(core, "min_heisenberg_eigenvalue",
+                        lambda cov: calls.append(cov) or floor(cov))
+    reproduce_paper()
+    # the loaded source and the output of each of the four steps
+    assert len(calls) == 5
 
 
 def test_opo_vacuum_through_pipeline_all_separable():
