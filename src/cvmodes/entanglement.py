@@ -19,7 +19,8 @@ band below the threshold report Separable rather than falsely Entangled.
 """
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cache, lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -159,13 +160,23 @@ def symplectic_eigenvalues(sigma):
     n = sigma.shape[-1] // 2 if sigma.ndim >= 2 else 0
     if n == 0 or sigma.shape[-2:] != (2 * n, 2 * n):
         raise NumericalFailure(f"matrix shape {sigma.shape} is not even-square")
+    _check_positive_definite(sigma)
+    return _symplectic_spectrum(sigma)
+
+
+def _check_positive_definite(sigma):
+    """NumericalFailure unless every matrix of ``sigma`` is finite, symmetric and PD."""
     if not np.isfinite(sigma).all():
         raise NumericalFailure("matrix has non-finite entries")
     if np.abs(sigma - np.swapaxes(sigma, -1, -2)).max(initial=0.0) > TOL_SYMMETRY:
         raise NumericalFailure("matrix is not symmetric")
     if (np.linalg.eigvalsh(sigma)[..., 0] <= 0).any():
         raise NumericalFailure("matrix is not positive definite")
-    ev = np.linalg.eigvals(symplectic_form(n) @ sigma)
+
+
+def _symplectic_spectrum(sigma):
+    # symplectic_eigenvalues of a stack that already passed its checks
+    ev = np.linalg.eigvals(symplectic_form(sigma.shape[-1] // 2) @ sigma)
     mags = np.sort(np.abs(ev.imag), axis=-1)
     return 0.5 * (mags[..., 0::2] + mags[..., 1::2])
 
@@ -193,17 +204,34 @@ def _check_band(band):
         )
 
 
+@lru_cache(maxsize=256)
+def _split_table(n, splits):
+    """Read-only sign masks and 1xN flags of a tuple of splits of n modes.
+
+    Built once per split tuple; bounded, since single-split deciders take
+    any split a caller passes.
+    """
+    masks = _sign_masks(n, [s.side_b for s in splits])
+    one_by_n = np.array([min(len(s.side_a), len(s.side_b)) == 1 for s in splits])
+    masks.flags.writeable = False
+    one_by_n.flags.writeable = False
+    return masks, one_by_n
+
+
 def _ppt(cov, splits, band):
     """PPT verdict of each split on its slice of the stack ``cov``.
 
-    ``cov`` is a (k, 2n, 2n) stack or one (2n, 2n) matrix for all splits.
-    Every decider passes here, so this is where ``band`` is checked.
+    ``cov`` is a (k, 2n, 2n) stack or one (2n, 2n) matrix, and ``splits``
+    a tuple of k splits or of one split for every slice.  Every decider
+    passes here, so this is where ``band`` and ``cov`` are checked: the
+    sign-flipped copies D cov D are finite, symmetric and positive
+    definite exactly when ``cov`` is.
     """
     _check_band(band)
-    masks = _sign_masks(cov.shape[-1] // 2, [s.side_b for s in splits])
-    spectra = symplectic_eigenvalues(cov * masks)
+    _check_positive_definite(cov)
+    masks, one_by_n = _split_table(cov.shape[-1] // 2, splits)
+    spectra = _symplectic_spectrum(cov * masks)
     witness = spectra[:, 0]
-    one_by_n = np.array([min(len(s.side_a), len(s.side_b)) == 1 for s in splits])
     # index into Status: 0 entangled, 1 separable, 2 inconclusive
     codes = np.where(witness < SHOT_NOISE - band, 0, np.where(one_by_n, 1, 2))
     statuses = list(Status)
@@ -224,7 +252,7 @@ def ppt_verdict(state, bipartition, band=THRESHOLD_BAND):
     out bound entanglement there.
     """
     _check_covering(bipartition, state.n_modes)
-    return _ppt(state.cov, [bipartition], band)[0]
+    return _ppt(state.cov, (bipartition,), band)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +264,10 @@ def _gklc(gamma, m, band):
 
     The first ``m`` modes of every slice form side A.  Returns one
     (status, iterations) pair per slice, equal to running the recursion
-    on each slice alone: every round makes one stacked eigen-call, one
-    stacked norm and one stacked pseudo-inverse over the slices still
-    without a certificate.  DEFAULT_MAX_ITER and DEFAULT_ITER_TOL are read
-    at call time.
+    on each slice alone: every round makes one stacked Hermitian
+    eigen-call, of B + i J_B, and one stacked SVD over the slices still
+    without a certificate (round 1 also takes the floor of A).
+    DEFAULT_MAX_ITER and DEFAULT_ITER_TOL are read at call time.
     """
     k = gamma.shape[0]
     a_blk = gamma[:, : 2 * m, : 2 * m]
@@ -252,15 +280,19 @@ def _gklc(gamma, m, band):
 
     out = [(Status.INCONCLUSIVE, DEFAULT_MAX_ITER)] * k
     live = np.arange(k)
+    min_a = _heisenberg_floor(a_blk)
     for it in range(1, DEFAULT_MAX_ITER + 1):
-        min_a = _heisenberg_floor(a_blk)
-        norm_c = np.linalg.norm(c_blk, 2, axis=(-2, -1))
-        floor = min_a
-        above_norm = min_a >= norm_c - 1e-12
+        # B's spectrum gives its floor and the pseudo-inverse below; from
+        # round 2 on B is A, so it gives A's floor as well
+        w, v = np.linalg.eigh(b_blk + 1j * j_b)
+        norm_c = np.linalg.svd(c_blk, compute_uv=False)[:, 0]
         if it == 1:
-            min_b = _heisenberg_floor(b_blk)
+            min_b = w[:, 0]
             floor = np.minimum(min_a, min_b)
-            above_norm &= min_b >= norm_c - 1e-12
+            above_norm = (min_a >= norm_c - 1e-12) & (min_b >= norm_c - 1e-12)
+        else:
+            floor = min_a = w[:, 0]
+            above_norm = min_a >= norm_c - 1e-12
         entangled = floor < -ent_eps
         separable = ~entangled & (
             above_norm | ((norm_c <= DEFAULT_ITER_TOL) & (floor >= -ent_eps))
@@ -274,9 +306,13 @@ def _gklc(gamma, m, band):
         if not keep.any():
             break
         live = live[keep]
-        a_blk, b_blk, c_blk = a_blk[keep], b_blk[keep], c_blk[keep]
-        x = c_blk @ np.linalg.pinv(b_blk - 1j * j_b, hermitian=True) \
-            @ np.swapaxes(c_blk, -1, -2)
+        a_blk, c_blk, w, v = a_blk[keep], c_blk[keep], w[keep], v[keep]
+        # X = C (B - i J_B)^+ C^T with B - i J_B = conj(V) diag(w) V^T; 1/w
+        # is dropped where |w| <= 1e-15 max|w|, the cutoff of numpy's pinv
+        y = c_blk @ v.conj()
+        large = np.abs(w) > 1e-15 * np.abs(w).max(axis=-1, keepdims=True)
+        inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=large)
+        x = (y * inv_w[:, None, :]) @ np.swapaxes(y.conj(), -1, -2)
         a_blk = a_blk - x.real
         b_blk = a_blk
         c_blk = -x.imag
@@ -298,8 +334,9 @@ def _escalate(cov, splits, verdicts, rows, band):
             cov, [splits[k].side_a + splits[k].side_b for k in group]
         )
         for k, (status, iterations) in zip(group, _gklc(gamma, m, band)):
-            verdicts[k] = replace(verdicts[k], status=status,
-                                  method=Method.ITERATIVE, iterations=iterations)
+            ppt = verdicts[k]
+            verdicts[k] = EntanglementVerdict(status, ppt.witness, ppt.log_negativity,
+                                              Method.ITERATIVE, iterations)
     return verdicts
 
 
@@ -331,13 +368,17 @@ def iterative_separability(state, bipartition, band=THRESHOLD_BAND):
     :func:`bipartition_scan`, so both give the same verdict, bit for bit.
     """
     _check_covering(bipartition, state.n_modes)
-    verdicts = _ppt(state.cov, [bipartition], band)
-    return _escalate(state.cov, [bipartition], verdicts, [0], band)[0]
+    verdicts = _ppt(state.cov, (bipartition,), band)
+    return _escalate(state.cov, (bipartition,), verdicts, [0], band)[0]
 
 
 # ---------------------------------------------------------------------------
 # register-level scans
 # ---------------------------------------------------------------------------
+
+_PAIR_SPLIT = (Bipartition((0,), (1,)),)
+"""The one split of every two-mode marginal of the pairwise map."""
+
 
 def pairwise_entanglement_map(state, band=THRESHOLD_BAND):
     """PPT verdict for every two-mode marginal of the state.
@@ -352,13 +393,18 @@ def pairwise_entanglement_map(state, band=THRESHOLD_BAND):
     if n < 2:
         raise IndexOutOfRange("pairwise map needs at least two modes")
     pairs = list(combinations(range(n), 2))
-    splits = [Bipartition((0,), (1,))] * len(pairs)
-    verdicts = _ppt(_cov_blocks(state.cov, pairs), splits, band)
+    verdicts = _ppt(_cov_blocks(state.cov, pairs), _PAIR_SPLIT, band)
     return EntanglementReport(state.register.tags, dict(zip(pairs, verdicts)), ())
 
 
 def enumerate_bipartitions(n):
     """All 1x(n-1) and 2x(n-2) unordered splits, in fixed order."""
+    return list(_bipartitions(n))
+
+
+@cache
+def _bipartitions(n):
+    # enumerate_bipartitions(n) as a tuple, built once per n
     if n < 2:
         raise IndexOutOfRange("bipartitions need at least two modes")
     splits = []
@@ -370,7 +416,7 @@ def enumerate_bipartitions(n):
             if n == 4 and 0 not in pair:
                 continue  # 2x2 splits are unordered; keep one of each
             splits.append(Bipartition(pair, tuple(everyone - set(pair))))
-    return splits
+    return tuple(splits)
 
 
 def bipartition_scan(state, band=THRESHOLD_BAND):
@@ -387,7 +433,7 @@ def bipartition_scan(state, band=THRESHOLD_BAND):
     n = state.n_modes
     if n > 8:
         raise IndexOutOfRange("bipartition scan is limited to 8 modes")
-    splits = enumerate_bipartitions(n)
+    splits = _bipartitions(n)
     verdicts = _ppt(state.cov, splits, band)
     rows = [k for k, v in enumerate(verdicts) if v.status is Status.INCONCLUSIVE]
     return list(zip(splits, _escalate(state.cov, splits, verdicts, rows, band)))

@@ -10,6 +10,8 @@ precision, so save -> load round-trips are bit-exact.
 import csv
 import json
 import math
+from itertools import chain
+from numbers import Real
 
 import numpy as np
 
@@ -80,6 +82,30 @@ def _state(register, mean, cov, where):
         raise ParseError(f"{where}: {exc}") from exc
 
 
+_NUMBER_OR_LIST = frozenset({int, float, list})
+
+
+def _numbers(values, field, where):
+    """``values`` if each entry of its nested lists is a number, else ParseError.
+
+    numpy would read a JSON string such as "0.5" or a boolean as a number,
+    and null as NaN.  The types are collected one nesting level at a time,
+    and entries are looked at one by one only on a level that holds some
+    other type.
+    """
+    level = [values]
+    while level:
+        kinds = set(map(type, level))
+        if not kinds <= _NUMBER_OR_LIST:  # also numpy scalars, e.g. np.float64
+            for item in level:
+                if type(item) is not list and (
+                        isinstance(item, bool) or not isinstance(item, Real)):
+                    raise ParseError(f"{where}.{field}: {item!r} is not a number")
+        level = list(chain.from_iterable(x for x in level if type(x) is list)) \
+            if list in kinds else []
+    return values
+
+
 def state_from_dict(data, require_physical=True, rescale=False, where="state"):
     """Build a state from the parsed file dict.
 
@@ -90,11 +116,12 @@ def state_from_dict(data, require_physical=True, rescale=False, where="state"):
     if not isinstance(data, dict):
         raise ParseError(f"{where}: top level must be an object")
     convention = _require(data, "convention", where)
-    sn = _require(convention, "sn", f"{where}.convention")
+    sn = _numbers(_require(convention, "sn", f"{where}.convention"),
+                  "convention.sn", where)
     ordering = _require(convention, "ordering", f"{where}.convention")
     try:
         sn = float(sn)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, OverflowError) as exc:  # a list, or an over-long integer
         raise ParseError(f"{where}.convention.sn: not a number") from exc
     if not 0 < sn < math.inf:
         raise ParseError(f"{where}.convention.sn must be finite and > 0, got {sn}")
@@ -105,8 +132,8 @@ def state_from_dict(data, require_physical=True, rescale=False, where="state"):
         )
 
     register = _parse_register(_require(data, "register", where))
-    state = _state(register, _require(data, "mean", where),
-                   _require(data, "cov", where), where)
+    state = _state(register, _numbers(_require(data, "mean", where), "mean", where),
+                   _numbers(_require(data, "cov", where), "cov", where), where)
 
     if not math.isclose(sn, SHOT_NOISE, rel_tol=0.0, abs_tol=1e-12):
         if not rescale:

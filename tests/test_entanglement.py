@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -311,6 +313,64 @@ def test_every_decider_rejects_a_band_outside_zero_to_shot_noise(band):
             decide()
 
 
+def invalid_states():
+    """An indefinite and an asymmetric 4-mode state; both are finite."""
+    register = circular_register(4)
+    indefinite = 0.5 * np.eye(8)
+    indefinite[3, 3] = -0.5
+    asymmetric = 0.5 * np.eye(8)
+    asymmetric[0, 5] = 0.2
+    return {"positive definite": GaussianState(register, np.zeros(8), indefinite),
+            "symmetric": GaussianState(register, np.zeros(8), asymmetric)}
+
+
+@pytest.mark.parametrize("reason", ["positive definite", "symmetric"])
+def test_every_split_decider_still_rejects_an_invalid_matrix(reason):
+    # _ppt checks the covariance matrix once, not its sign-flipped copies
+    state = invalid_states()[reason]
+    split = Bipartition((0, 1), (2, 3))
+    for decide in (lambda: ppt_verdict(state, split),
+                   lambda: iterative_separability(state, split),
+                   lambda: bipartition_scan(state)):
+        with pytest.raises(NumericalFailure, match=reason):
+            decide()
+
+
+def test_pairwise_map_checks_the_marginals_it_decides():
+    # the X quadratures of three modes carry pairwise correlations -0.6:
+    # every two-mode marginal is positive definite, the full matrix is not
+    cov = 0.5 * np.eye(6)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        cov[2 * i, 2 * j] = cov[2 * j, 2 * i] = -0.3
+    state = GaussianState(circular_register(3), np.zeros(6), cov)
+    with pytest.raises(NumericalFailure, match="positive definite"):
+        bipartition_scan(state)
+    report = pairwise_entanglement_map(state)
+    for (i, j), verdict in report.pairwise.items():
+        marginal = reduce(state, (i, j))
+        assert verdict == ppt_verdict(marginal, AB), (i, j)
+        nu_minus, _ = two_mode_nu(marginal.cov, transposed=True)
+        assert verdict.witness == pytest.approx(nu_minus, abs=1e-12), (i, j)
+
+
+def test_split_tables_are_built_once_and_cannot_be_changed():
+    state = distributed_state()
+    before = bipartition_scan(state)
+    splits = enumerate_bipartitions(4)
+    splits.reverse()
+    splits.append(Bipartition((0,), (1,)))
+    splits[0] = Bipartition((0,), (2,))
+    assert bipartition_scan(state) == before
+    assert [s for s, _ in before] == enumerate_bipartitions(4)
+    assert enumerate_bipartitions(4) is not enumerate_bipartitions(4)
+    masks, one_by_n = entanglement._split_table(
+        4, tuple(enumerate_bipartitions(4)))
+    assert masks is entanglement._split_table(4, tuple(enumerate_bipartitions(4)))[0]
+    for table in (masks, one_by_n):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
+
+
 def test_ppt_requires_covering_bipartition():
     state = distributed_state()
     with pytest.raises(IndexOutOfRange):
@@ -402,6 +462,59 @@ def test_stacked_gklc_equals_split_by_split_reference(monkeypatch):
                     rounds.add(verdict.iterations)
             mixed_rounds += len(rounds) > 1
     assert mixed_rounds > 0
+
+
+def with_vacuum(rng, n):
+    """A random mixed state on n - 1 modes plus one vacuum mode, placed at random."""
+    mixed = random_mixed_cov(rng, n - 1)
+    cov = 0.5 * np.eye(2 * n)
+    cov[2:, 2:] = mixed
+    order = rng.permutation(n)
+    state = GaussianState(
+        ModeRegister(tuple(ModeLabel("H", k, f"m{k}") for k in range(n))),
+        np.zeros(2 * n), cov)
+    return reorder(state, order), int(np.flatnonzero(order == 0)[0])
+
+
+def test_gklc_pseudo_inverse_of_a_singular_block_equals_reference():
+    # a vacuum mode on side B makes B - i J_B singular (the vacuum block
+    # I - i J has eigenvalues 0 and 2), so the recursion needs the
+    # pseudo-inverse cutoff from round 1 on
+    rng = np.random.default_rng(50)
+    singular_rounds = 0
+    for n in (4, 5, 6):
+        for _ in range(20):
+            state, vacuum = with_vacuum(rng, n)
+            for split, verdict in bipartition_scan(state):
+                if verdict.method is not Method.ITERATIVE:
+                    continue
+                expected = gklc_reference(
+                    state.cov, (split.side_a, split.side_b), DEFAULT_MAX_ITER,
+                    DEFAULT_ITER_TOL, THRESHOLD_BAND,
+                )
+                assert (verdict.status.value, verdict.iterations) == expected, split
+                singular_rounds += vacuum in split.side_b and verdict.iterations > 1
+    assert singular_rounds > 100
+
+
+SCAN_ROWS_SHA256 = "4b017d4237e485ab8d2b1a8a4489bcecf02b7680852f98071f1062a42256a172"
+
+
+def test_scan_verdicts_and_iteration_counts_are_pinned():
+    # (split, status, method, iterations) of every split of 240 seeded
+    # mixed states, as decided by the recursion written with an eigvalsh
+    # floor and numpy's pinv each round
+    rng = np.random.default_rng(2026)
+    rows = []
+    for k in range(240):
+        n = (4, 6, 8)[k % 3]
+        register = ModeRegister(tuple(ModeLabel("H", j, f"m{j}") for j in range(n)))
+        state = GaussianState(register, np.zeros(2 * n), random_mixed_cov(rng, n))
+        rows += [((split.side_a, split.side_b), v.status.value, v.method.value,
+                  v.iterations) for split, v in bipartition_scan(state)]
+    assert len(rows) == 5120
+    assert sum(v[3] is not None and v[3] > 1 for v in rows) > 1000
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == SCAN_ROWS_SHA256
 
 
 def test_iterative_inconclusive_when_budget_exhausted(monkeypatch):

@@ -162,6 +162,19 @@ def test_register_spec_errors():
         parse_register_spec("a:H:x")
 
 
+# JSON strings, booleans and null, which numpy would read as numbers (or NaN)
+NOT_NUMBERS = {
+    "string_mean.json": {"mean": ["0", "0", "0", "0"]},
+    "null_mean.json": {"mean": [None, 0, 0, 0]},
+    "bool_cov.json": {"cov": [[True, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                              [0, 0, 0, 1]]},
+    "null_cov.json": {"cov": [[None] * 4] * 4},
+    "string_shot_noise.json": {"convention": {"sn": "0.5",
+                                              "ordering": "interleaved"}},
+    "bool_shot_noise.json": {"convention": {"sn": True, "ordering": "interleaved"}},
+}
+
+
 @pytest.mark.parametrize("name, content", [
     ("null_convention.json", {"convention": None}),
     ("zero_convention.json", {"convention": 0}),
@@ -180,6 +193,7 @@ def test_register_spec_errors():
     ("huge_shot_noise.json", {"convention": {"sn": 10 ** 400,
                                              "ordering": "interleaved"}}),
     ("nan_cell.csv", b"nan,0,0,0\n0,0.5,0,0\n0,0,0.5,0\n0,0,0,0.5\n"),
+    *NOT_NUMBERS.items(),
 ])
 def test_malformed_files_are_a_parse_error(tmp_path, name, content):
     path = tmp_path / name
@@ -188,8 +202,11 @@ def test_malformed_files_are_a_parse_error(tmp_path, name, content):
         doc.update(content)
         content = json.dumps(doc).encode()
     path.write_bytes(content)
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as info:
         if name.endswith(".csv"):
             load_cov_csv(path, parse_register_spec("a:H:0,b:V:0"))
         else:
             load_state(path, rescale=True)
+    if name in NOT_NUMBERS:
+        (field,) = NOT_NUMBERS[name]
+        assert field in str(info.value) and "is not a number" in str(info.value)
