@@ -197,6 +197,18 @@ class GaussianState:
         )
 
 
+def _with_register(state, register):
+    """``state`` on an equally sized ``register``: no copy and no second check.
+
+    The result shares the read-only ``mean`` and ``cov`` that already
+    passed the constructor's gate, and the kept :attr:`validity` report
+    if ``state`` has one.
+    """
+    out = object.__new__(GaussianState)
+    out.__dict__.update(state.__dict__, register=register)
+    return out
+
+
 @dataclass(frozen=True)
 class StandardFormParams:
     """Two-mode standard-form parameters (a, b, c1, c2) in shot-noise units."""

@@ -218,18 +218,25 @@ def _split_table(n, splits):
     return masks, one_by_n
 
 
-def _ppt(cov, splits, band):
+@cache
+def _scan_table(n):
+    # the split table of _bipartitions(n), looked up by n: no split tuple
+    # to hash on every scan
+    return _split_table(n, _bipartitions(n))
+
+
+def _ppt(cov, table, band):
     """PPT verdict of each split on its slice of the stack ``cov``.
 
-    ``cov`` is a (k, 2n, 2n) stack or one (2n, 2n) matrix, and ``splits``
-    a tuple of k splits or of one split for every slice.  Every decider
-    passes here, so this is where ``band`` and ``cov`` are checked: the
-    sign-flipped copies D cov D are finite, symmetric and positive
-    definite exactly when ``cov`` is.
+    ``cov`` is a (k, 2n, 2n) stack or one (2n, 2n) matrix, and ``table``
+    the :func:`_split_table` of k splits or of one split for every slice.
+    Every decider passes here, so this is where ``band`` and ``cov`` are
+    checked: the sign-flipped copies D cov D are finite, symmetric and
+    positive definite exactly when ``cov`` is.
     """
     _check_band(band)
     _check_positive_definite(cov)
-    masks, one_by_n = _split_table(cov.shape[-1] // 2, splits)
+    masks, one_by_n = table
     spectra = _symplectic_spectrum(cov * masks)
     witness = spectra[:, 0]
     # index into Status: 0 entangled, 1 separable, 2 inconclusive
@@ -252,7 +259,7 @@ def ppt_verdict(state, bipartition, band=THRESHOLD_BAND):
     out bound entanglement there.
     """
     _check_covering(bipartition, state.n_modes)
-    return _ppt(state.cov, (bipartition,), band)[0]
+    return _ppt(state.cov, _split_table(state.n_modes, (bipartition,)), band)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +375,7 @@ def iterative_separability(state, bipartition, band=THRESHOLD_BAND):
     :func:`bipartition_scan`, so both give the same verdict, bit for bit.
     """
     _check_covering(bipartition, state.n_modes)
-    verdicts = _ppt(state.cov, (bipartition,), band)
+    verdicts = _ppt(state.cov, _split_table(state.n_modes, (bipartition,)), band)
     return _escalate(state.cov, (bipartition,), verdicts, [0], band)[0]
 
 
@@ -393,7 +400,7 @@ def pairwise_entanglement_map(state, band=THRESHOLD_BAND):
     if n < 2:
         raise IndexOutOfRange("pairwise map needs at least two modes")
     pairs = list(combinations(range(n), 2))
-    verdicts = _ppt(_cov_blocks(state.cov, pairs), _PAIR_SPLIT, band)
+    verdicts = _ppt(_cov_blocks(state.cov, pairs), _split_table(2, _PAIR_SPLIT), band)
     return EntanglementReport(state.register.tags, dict(zip(pairs, verdicts)), ())
 
 
@@ -434,6 +441,6 @@ def bipartition_scan(state, band=THRESHOLD_BAND):
     if n > 8:
         raise IndexOutOfRange("bipartition scan is limited to 8 modes")
     splits = _bipartitions(n)
-    verdicts = _ppt(state.cov, splits, band)
+    verdicts = _ppt(state.cov, _scan_table(n), band)
     rows = [k for k, v in enumerate(verdicts) if v.status is Status.INCONCLUSIVE]
     return list(zip(splits, _escalate(state.cov, splits, verdicts, rows, band)))

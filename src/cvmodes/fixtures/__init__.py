@@ -21,9 +21,11 @@ from ..io import read_json, state_from_dict
 STATE_FIXTURES = ("sigma2_exp", "vacuum4")
 MATRIX_FIXTURES = ("sigma4_exact", "sigma4_printed")
 
+_DIRECTORY = resources.files(__package__)
+
 
 def _read(name):
-    return read_json(resources.files(__package__).joinpath(f"{name}.json"))
+    return read_json(_DIRECTORY.joinpath(f"{name}.json"))
 
 
 def load_state_fixture(name):

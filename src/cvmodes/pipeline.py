@@ -162,15 +162,18 @@ class PipelineResult:
     analyses: dict
 
 
-def _diag(index, name, state):
-    return StepDiagnostics(
-        index=index,
-        step=name,
-        tags=state.register.tags,
-        total_photons=total_photon_number(state),
-        purity=purity(state),
-        validity=validate(state),
-    )
+def _diag(index, name, state, previous=None):
+    """Diagnostics of ``state``; ``previous`` is ``(step input, its diagnostics)``.
+
+    A step whose output shares its input's arrays (the waveplate relabel)
+    keeps the input's photon total and purity.
+    """
+    if previous and previous[0].cov is state.cov and previous[0].mean is state.mean:
+        photons, mu = previous[1].total_photons, previous[1].purity
+    else:
+        photons, mu = total_photon_number(state), purity(state)
+    return StepDiagnostics(index, name, state.register.tags, photons, mu,
+                           validate(state))
 
 
 def run_pipeline(config, state=None, band=THRESHOLD_BAND):
@@ -194,8 +197,9 @@ def run_pipeline(config, state=None, band=THRESHOLD_BAND):
         raise PipelineStepError(0, "source", exc) from exc
     for k, (op, run) in enumerate(config.steps, start=1):
         try:
+            previous = (state, diagnostics[-1])
             state = run(state)
-            diagnostics.append(_diag(k, op, state))
+            diagnostics.append(_diag(k, op, state, previous))
         except CVModesError as exc:
             raise PipelineStepError(k, op, exc) from exc
 

@@ -15,6 +15,7 @@ photon number is conserved exactly.
 import math
 import os.path
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .core import (
     ModeLabel,
     ModeRegister,
     StandardFormParams,
+    _with_register,
     make_standard_form,
     symplectic_form,
 )
@@ -113,9 +115,10 @@ def phase_rotation(register, angles):
 def quarter_waveplate_relabel(state):
     """Move every mode to the circular basis: H -> L, V -> R, labels only.
 
-    The covariance matrix and mean are carried over unchanged; the
-    waveplate only fixes the basis in which the q-plate coupling is
-    written.  Raises BadPolarization if any mode is already circular.
+    The waveplate only fixes the basis in which the q-plate coupling is
+    written, so the result shares the input's read-only mean, covariance
+    matrix and kept validity report.  Raises BadPolarization if any mode
+    is already circular.
     """
     mapping = {"H": "L", "V": "R"}
     new = []
@@ -126,7 +129,7 @@ def quarter_waveplate_relabel(state):
                 "expects H/V modes"
             )
         new.append(ModeLabel(mapping[m.polarization], m.oam, m.tag))
-    return GaussianState(ModeRegister(tuple(new)), state.mean, state.cov)
+    return _with_register(state, ModeRegister(tuple(new)))
 
 
 def embed_with_vacua(state, vacuum_labels):
@@ -185,7 +188,16 @@ def qplate_pairing(spec, register):
 
     Every mode must be circular and have exactly one partner present.
     """
-    shift = spec.oam_shift
+    return list(_qplate_layout(spec.oam_shift, register)[0])
+
+
+@lru_cache(maxsize=64)
+def _qplate_layout(shift, register):
+    """Pairs and output register of a q-plate with OAM shift ``shift``.
+
+    Built once per ``(shift, register)``; a pairing error is raised again
+    on every call, since exceptions are not cached.
+    """
     keys = [(m.polarization, m.oam) for m in register]
     pairs = []
     seen = set()
@@ -214,7 +226,7 @@ def qplate_pairing(spec, register):
             raise UnpairedMode(f"mode {mode} partner already claimed")
         seen.update((i, j))
         pairs.append((i, j))
-    return pairs
+    return tuple(pairs), _output_register(register, pairs)
 
 
 def _pair_stem(tag_i, tag_j):
@@ -260,7 +272,7 @@ def qplate_transform(spec, register):
     rotation).  The returned transform is passive and symplectic for all
     delta.
     """
-    pairs = qplate_pairing(spec, register)
+    pairs, output_register = _qplate_layout(spec.oam_shift, register)
     n = len(register)
     c = math.cos(spec.delta / 2.0)
     s = math.sin(spec.delta / 2.0)
@@ -271,7 +283,7 @@ def qplate_transform(spec, register):
             mat[2 * p, 2 * q_ + 1] = s
             mat[2 * p + 1, 2 * p + 1] = c
             mat[2 * p + 1, 2 * q_] = -s
-    return SymplecticTransform(mat, register, _output_register(register, pairs))
+    return SymplecticTransform(mat, register, output_register)
 
 
 def sigma4_closed_form(params, sn=SHOT_NOISE):

@@ -371,6 +371,16 @@ def test_split_tables_are_built_once_and_cannot_be_changed():
             table[0] = 0
 
 
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_scan_table_is_kept_per_register_size(n):
+    table = entanglement._scan_table(n)
+    assert table is entanglement._scan_table(n)
+    fresh = entanglement._split_table.__wrapped__(n, tuple(enumerate_bipartitions(n)))
+    for kept, built in zip(table, fresh):
+        assert np.array_equal(kept, built)
+        assert not kept.flags.writeable
+
+
 def test_ppt_requires_covering_bipartition():
     state = distributed_state()
     with pytest.raises(IndexOutOfRange):

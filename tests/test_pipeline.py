@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from cvmodes import (
     sigma4_closed_form,
     validate,
 )
-from cvmodes import core
+from cvmodes import core, pipeline
 from cvmodes.errors import (
     NonPositiveDeterminant,
     ParseError,
@@ -122,8 +124,44 @@ def test_reproduce_paper_computes_one_heisenberg_floor_per_state(monkeypatch):
     monkeypatch.setattr(core, "min_heisenberg_eigenvalue",
                         lambda cov: calls.append(cov) or floor(cov))
     reproduce_paper()
-    # the loaded source and the output of each of the four steps
-    assert len(calls) == 5
+    # the loaded source and the outputs of embed, reorder and q-plate; the
+    # waveplate relabel keeps its input's report
+    assert len(calls) == 4
+
+
+def test_relabel_step_keeps_its_input_facts(monkeypatch):
+    calls = []
+    for name in ("purity", "total_photon_number"):
+        fact = getattr(pipeline, name)
+        monkeypatch.setattr(pipeline, name,
+                            lambda state, f=fact: calls.append(state) or f(state))
+    result = run_pipeline(distribution_config(source=EXP_SOURCE))
+    source, waveplate = result.diagnostics[:2]
+    assert (waveplate.total_photons, waveplate.purity, waveplate.validity) == (
+        source.total_photons, source.purity, source.validity)
+    # two facts for each of the four states with their own arrays
+    assert len(calls) == 8
+
+
+SWEEP_SHA256 = "b580dfa29b6a05016d9e601d49a3a92d0ca35e38a20420c7d77a946bc639002d"
+
+
+def test_sweep_outputs_are_pinned():
+    # diagnostics, analyses, report and final covariance bytes of 256
+    # seeded (r, eta, delta) points, as computed when every step copied,
+    # checked and measured its own output
+    rng = np.random.default_rng(1811)
+    digest = hashlib.sha256()
+    for r, eta, delta in zip(rng.uniform(0.0, 3.0, 256), rng.uniform(0.3, 1.0, 256),
+                             rng.uniform(0.0, 2.0 * math.pi, 256)):
+        result = run_pipeline(distribution_config(
+            source={"kind": "opo", "r": float(r), "eta": float(eta)},
+            delta=float(delta),
+            analyses=("validate", "purity", "photons", "pairwise", "scan")))
+        digest.update(repr((result.diagnostics, result.analyses,
+                            result.report)).encode())
+        digest.update(result.final_state.cov.tobytes())
+    assert digest.hexdigest() == SWEEP_SHA256
 
 
 def test_opo_vacuum_through_pipeline_all_separable():

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from cvmodes import (
+    GaussianState,
     ModeLabel,
     ModeRegister,
     QPlateSpec,
@@ -18,12 +21,14 @@ from cvmodes import (
     quarter_waveplate_relabel,
     reorder,
     sigma4_closed_form,
+    standard_form_matrix,
     symplectic_form,
     total_photon_number,
     two_mode_register,
     vacuum_state,
     validate,
 )
+from cvmodes import transforms
 from cvmodes.transforms import SymplecticTransform
 from cvmodes.errors import (
     BadPolarization,
@@ -101,6 +106,21 @@ def test_waveplate_moves_to_circular_basis():
 def test_waveplate_on_vacuum():
     out = quarter_waveplate_relabel(vacuum_state(two_mode_register()))
     assert np.array_equal(out.cov, 0.5 * np.eye(4))
+
+
+def test_waveplate_shares_its_input_arrays_and_report():
+    state = make_standard_form(EXP)  # checked, so its report is kept
+    out = quarter_waveplate_relabel(state)
+    assert out.cov is state.cov and out.mean is state.mean
+    assert validate(out) is validate(state)
+    assert state.register == two_mode_register()
+    assert out == GaussianState(out.register, state.mean, state.cov)
+    for arr in (out.mean, out.cov):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1.0
+    # a state whose report was never asked for gets its own on demand
+    fresh = GaussianState(two_mode_register(), np.zeros(4), standard_form_matrix(EXP))
+    assert validate(quarter_waveplate_relabel(fresh)) == validate(fresh)
 
 
 def test_waveplate_twice_is_an_error():
@@ -251,6 +271,49 @@ def test_qplate_other_charges_pair_by_oam_shift():
     assert pairs == [(0, 1)]
     with pytest.raises(UnpairedMode):
         qplate_pairing(QPlateSpec(0.5, np.pi / 2), reg)
+
+
+def qplate_reference(spec, register):
+    """q-plate pairs, matrix and output register built without the layout cache."""
+    pairs, out = transforms._qplate_layout.__wrapped__(spec.oam_shift, register)
+    c, s = math.cos(spec.delta / 2.0), math.sin(spec.delta / 2.0)
+    n = len(register)
+    mat = np.zeros((2 * n, 2 * n))
+    for i, j in pairs:
+        for p, q in ((i, j), (j, i)):
+            mat[2 * p: 2 * p + 2, 2 * p: 2 * p + 2] = [[c, 0.0], [0.0, c]]
+            mat[2 * p: 2 * p + 2, 2 * q: 2 * q + 2] = [[0.0, s], [-s, 0.0]]
+    return list(pairs), mat, out
+
+
+def test_qplate_layout_cache_matches_a_fresh_build():
+    rng = np.random.default_rng(1811)
+    base = prepared_state()
+    for _ in range(24):
+        state = reorder(base, rng.permutation(4))
+        spec = QPlateSpec(0.5, rng.uniform(0.0, 2 * np.pi))
+        first = qplate_transform(spec, state.register)
+        for delta in (spec.delta, rng.uniform(0.0, 2 * np.pi)):
+            # later calls take the layout built by the first one
+            spec = QPlateSpec(0.5, delta)
+            pairs, mat, out = qplate_reference(spec, state.register)
+            t = qplate_transform(spec, state.register)
+            assert np.array_equal(t.matrix, mat)
+            assert t.input_register == state.register
+            assert t.output_register == out
+            assert t.output_register is first.output_register
+            assert qplate_pairing(spec, state.register) == pairs
+
+
+def test_qplate_pairing_errors_raise_on_every_call():
+    unpaired = quarter_waveplate_relabel(make_standard_form(EXP)).register
+    for delta in (0.3, 0.3, 1.2):
+        with pytest.raises(UnpairedMode):
+            qplate_transform(QPlateSpec(0.5, delta), unpaired)
+        with pytest.raises(NotCircular):
+            qplate_transform(QPlateSpec(0.5, delta), two_mode_register())
+        with pytest.raises(UnpairedMode):
+            qplate_pairing(QPlateSpec(0.5, delta), unpaired)
 
 
 def test_single_mode_marginal_noise_floor_grows():
