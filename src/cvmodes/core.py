@@ -12,6 +12,7 @@ function of its inputs, so everything here is safe to share across
 concurrent workers.
 """
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -162,7 +163,7 @@ class GaussianState:
     :func:`validate` (and enforced by the constructors that promise
     physical output), so that diagnostic code can still hold and inspect
     invalid matrices.  That report is computed once, on first use, and
-    kept in :attr:`validity`.
+    kept in :attr:`validity`; so are the photon total and purity.
     """
 
     register: ModeRegister
@@ -187,6 +188,11 @@ class GaussianState:
         physical = symmetric and min_eig >= -TOL_PHYSICALITY
         return ValidityReport(symmetric, physical, min_eig)
 
+    @cached_property
+    def _facts(self):
+        # (total photon number, purity), the diagnostics of each pipeline step
+        return total_photon_number(self), purity(self)
+
     def __eq__(self, other):
         if not isinstance(other, GaussianState):
             return NotImplemented
@@ -202,7 +208,7 @@ def _with_register(state, register):
 
     The result shares the read-only ``mean`` and ``cov`` that already
     passed the constructor's gate, and the kept :attr:`validity` report
-    if ``state`` has one.
+    and photon total and purity if ``state`` has them.
     """
     out = object.__new__(GaussianState)
     out.__dict__.update(state.__dict__, register=register)
@@ -336,8 +342,16 @@ def _cov_blocks(cov, subsets):
     return cov[idx[:, :, None], idx[:, None, :]]
 
 
+def _mode_indices(indices):
+    """``indices`` as ints; a float or a string, which int reads, is refused."""
+    try:
+        return [operator.index(k) for k in indices]
+    except TypeError as exc:
+        raise IndexOutOfRange(f"mode indices must be integers: {indices!r}") from exc
+
+
 def _check_subset(subset, n):
-    subset = [int(k) for k in subset]
+    subset = _mode_indices(subset)
     if not subset:
         raise IndexOutOfRange("mode subset is empty")
     for k in subset:
@@ -368,7 +382,7 @@ def reorder(state, permutation):
     Pure index shuffling, so applying the inverse permutation afterwards
     restores the input bit-exactly.
     """
-    perm = [int(k) for k in permutation]
+    perm = _mode_indices(permutation)
     if sorted(perm) != list(range(state.n_modes)):
         raise NotAPermutation(
             f"{permutation} is not a permutation of 0..{state.n_modes - 1}"

@@ -20,7 +20,7 @@ band below the threshold report Separable rather than falsely Entangled.
 
 import enum
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -31,6 +31,7 @@ from .core import (
     _check_subset,
     _cov_blocks,
     _heisenberg_floor,
+    _mode_indices,
     symplectic_form,
 )
 from .errors import IndexOutOfRange, NumericalFailure, ParseError
@@ -64,8 +65,8 @@ class Bipartition:
     side_b: tuple
 
     def __post_init__(self):
-        a = tuple(sorted(int(k) for k in self.side_a))
-        b = tuple(sorted(int(k) for k in self.side_b))
+        a = tuple(sorted(_mode_indices(self.side_a)))
+        b = tuple(sorted(_mode_indices(self.side_b)))
         if not a or not b or len(set(a + b)) != len(a + b):
             raise IndexOutOfRange(
                 f"bipartition sides must be nonempty with no index repeated: "
@@ -188,14 +189,6 @@ def log_negativity_from_spectrum(nu_tilde):
     return float(out) if out.ndim == 0 else out
 
 
-def _check_covering(bipartition, n):
-    if sorted(bipartition.side_a + bipartition.side_b) != list(range(n)):
-        raise IndexOutOfRange(
-            f"bipartition {bipartition.side_a}|{bipartition.side_b} does not "
-            f"cover the {n}-mode register"
-        )
-
-
 def _check_band(band):
     """ParseError unless ``band`` is finite and in [0, SHOT_NOISE)."""
     if not 0.0 <= band < SHOT_NOISE:
@@ -204,25 +197,19 @@ def _check_band(band):
         )
 
 
-@lru_cache(maxsize=256)
 def _split_table(n, splits):
-    """Read-only sign masks and 1xN flags of a tuple of splits of n modes.
-
-    Built once per split tuple; bounded, since single-split deciders take
-    any split a caller passes.
-    """
+    """Read-only sign masks and 1xN flags of splits that cover n modes."""
+    for s in splits:
+        if sorted(s.side_a + s.side_b) != list(range(n)):
+            raise IndexOutOfRange(
+                f"bipartition {s.side_a}|{s.side_b} does not cover the "
+                f"{n}-mode register"
+            )
     masks = _sign_masks(n, [s.side_b for s in splits])
     one_by_n = np.array([min(len(s.side_a), len(s.side_b)) == 1 for s in splits])
     masks.flags.writeable = False
     one_by_n.flags.writeable = False
     return masks, one_by_n
-
-
-@cache
-def _scan_table(n):
-    # the split table of _bipartitions(n), looked up by n: no split tuple
-    # to hash on every scan
-    return _split_table(n, _bipartitions(n))
 
 
 def _ppt(cov, table, band):
@@ -258,7 +245,6 @@ def ppt_verdict(state, bipartition, band=THRESHOLD_BAND):
     splits return Inconclusive since the partial transpose cannot rule
     out bound entanglement there.
     """
-    _check_covering(bipartition, state.n_modes)
     return _ppt(state.cov, _split_table(state.n_modes, (bipartition,)), band)[0]
 
 
@@ -293,13 +279,8 @@ def _gklc(gamma, m, band):
         # round 2 on B is A, so it gives A's floor as well
         w, v = np.linalg.eigh(b_blk + 1j * j_b)
         norm_c = np.linalg.svd(c_blk, compute_uv=False)[:, 0]
-        if it == 1:
-            min_b = w[:, 0]
-            floor = np.minimum(min_a, min_b)
-            above_norm = (min_a >= norm_c - 1e-12) & (min_b >= norm_c - 1e-12)
-        else:
-            floor = min_a = w[:, 0]
-            above_norm = min_a >= norm_c - 1e-12
+        floor = np.minimum(min_a, w[:, 0]) if it == 1 else w[:, 0]
+        above_norm = floor >= norm_c - 1e-12
         entangled = floor < -ent_eps
         separable = ~entangled & (
             above_norm | ((norm_c <= DEFAULT_ITER_TOL) & (floor >= -ent_eps))
@@ -374,7 +355,6 @@ def iterative_separability(state, bipartition, band=THRESHOLD_BAND):
     decided as a stack of one by the same kernels that serve
     :func:`bipartition_scan`, so both give the same verdict, bit for bit.
     """
-    _check_covering(bipartition, state.n_modes)
     verdicts = _ppt(state.cov, _split_table(state.n_modes, (bipartition,)), band)
     return _escalate(state.cov, (bipartition,), verdicts, [0], band)[0]
 
@@ -382,10 +362,6 @@ def iterative_separability(state, bipartition, band=THRESHOLD_BAND):
 # ---------------------------------------------------------------------------
 # register-level scans
 # ---------------------------------------------------------------------------
-
-_PAIR_SPLIT = (Bipartition((0,), (1,)),)
-"""The one split of every two-mode marginal of the pairwise map."""
-
 
 def pairwise_entanglement_map(state, band=THRESHOLD_BAND):
     """PPT verdict for every two-mode marginal of the state.
@@ -400,18 +376,12 @@ def pairwise_entanglement_map(state, band=THRESHOLD_BAND):
     if n < 2:
         raise IndexOutOfRange("pairwise map needs at least two modes")
     pairs = list(combinations(range(n), 2))
-    verdicts = _ppt(_cov_blocks(state.cov, pairs), _split_table(2, _PAIR_SPLIT), band)
+    verdicts = _ppt(_cov_blocks(state.cov, pairs), _splits(2)[1], band)
     return EntanglementReport(state.register.tags, dict(zip(pairs, verdicts)), ())
 
 
 def enumerate_bipartitions(n):
     """All 1x(n-1) and 2x(n-2) unordered splits, in fixed order."""
-    return list(_bipartitions(n))
-
-
-@cache
-def _bipartitions(n):
-    # enumerate_bipartitions(n) as a tuple, built once per n
     if n < 2:
         raise IndexOutOfRange("bipartitions need at least two modes")
     splits = []
@@ -423,7 +393,14 @@ def _bipartitions(n):
             if n == 4 and 0 not in pair:
                 continue  # 2x2 splits are unordered; keep one of each
             splits.append(Bipartition(pair, tuple(everyone - set(pair))))
-    return tuple(splits)
+    return splits
+
+
+@cache
+def _splits(n):
+    """The splits of :func:`enumerate_bipartitions` and their table, once per n."""
+    splits = tuple(enumerate_bipartitions(n))
+    return splits, _split_table(n, splits)
 
 
 def bipartition_scan(state, band=THRESHOLD_BAND):
@@ -440,7 +417,7 @@ def bipartition_scan(state, band=THRESHOLD_BAND):
     n = state.n_modes
     if n > 8:
         raise IndexOutOfRange("bipartition scan is limited to 8 modes")
-    splits = _bipartitions(n)
-    verdicts = _ppt(state.cov, _scan_table(n), band)
+    splits, table = _splits(n)
+    verdicts = _ppt(state.cov, table, band)
     rows = [k for k, v in enumerate(verdicts) if v.status is Status.INCONCLUSIVE]
     return list(zip(splits, _escalate(state.cov, splits, verdicts, rows, band)))

@@ -10,7 +10,6 @@ precision, so save -> load round-trips are bit-exact.
 import csv
 import json
 import math
-from itertools import chain
 from numbers import Real
 
 import numpy as np
@@ -82,27 +81,23 @@ def _state(register, mean, cov, where):
         raise ParseError(f"{where}: {exc}") from exc
 
 
-_NUMBER_OR_LIST = frozenset({int, float, list})
-
-
 def _numbers(values, field, where):
     """``values`` if each entry of its nested lists is a number, else ParseError.
 
     numpy would read a JSON string such as "0.5" or a boolean as a number,
-    and null as NaN.  The types are collected one nesting level at a time,
-    and entries are looked at one by one only on a level that holds some
-    other type.
+    and null as NaN.  The lists are walked one nesting level at a time, so
+    the first bad entry reported is the first of the shallowest level.
     """
     level = [values]
     while level:
-        kinds = set(map(type, level))
-        if not kinds <= _NUMBER_OR_LIST:  # also numpy scalars, e.g. np.float64
-            for item in level:
-                if type(item) is not list and (
-                        isinstance(item, bool) or not isinstance(item, Real)):
-                    raise ParseError(f"{where}.{field}: {item!r} is not a number")
-        level = list(chain.from_iterable(x for x in level if type(x) is list)) \
-            if list in kinds else []
+        deeper = []
+        for item in level:
+            kind = type(item)
+            if kind is list:
+                deeper.extend(item)
+            elif kind is not float and (kind is bool or not isinstance(item, Real)):
+                raise ParseError(f"{where}.{field}: {item!r} is not a number")
+        level = deeper
     return values
 
 

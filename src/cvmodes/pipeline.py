@@ -21,9 +21,7 @@ from .core import (
     StandardFormParams,
     ValidityReport,
     make_standard_form,
-    purity,
     reorder,
-    total_photon_number,
     validate,
 )
 from .entanglement import (
@@ -162,17 +160,8 @@ class PipelineResult:
     analyses: dict
 
 
-def _diag(index, name, state, previous=None):
-    """Diagnostics of ``state``; ``previous`` is ``(step input, its diagnostics)``.
-
-    A step whose output shares its input's arrays (the waveplate relabel)
-    keeps the input's photon total and purity.
-    """
-    if previous and previous[0].cov is state.cov and previous[0].mean is state.mean:
-        photons, mu = previous[1].total_photons, previous[1].purity
-    else:
-        photons, mu = total_photon_number(state), purity(state)
-    return StepDiagnostics(index, name, state.register.tags, photons, mu,
+def _diag(index, name, state):
+    return StepDiagnostics(index, name, state.register.tags, *state._facts,
                            validate(state))
 
 
@@ -197,9 +186,8 @@ def run_pipeline(config, state=None, band=THRESHOLD_BAND):
         raise PipelineStepError(0, "source", exc) from exc
     for k, (op, run) in enumerate(config.steps, start=1):
         try:
-            previous = (state, diagnostics[-1])
             state = run(state)
-            diagnostics.append(_diag(k, op, state, previous))
+            diagnostics.append(_diag(k, op, state))
         except CVModesError as exc:
             raise PipelineStepError(k, op, exc) from exc
 

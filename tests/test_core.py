@@ -235,6 +235,11 @@ def test_reduce_errors():
         reduce(state, [1, 1])
     with pytest.raises(IndexOutOfRange):
         reduce(state, [])
+    # an index is an integer: no truncation of 0.5 to 0, no reading of "1"
+    for subset in ([0.5, 2.9], ["1"], [np.float64(1.0)]):
+        with pytest.raises(IndexOutOfRange, match="integers"):
+            reduce(state, subset)
+    assert reduce(state, np.array([0, 2])) == reduce(state, [0, 2])
 
 
 # -- reorder -----------------------------------------------------------------
@@ -271,6 +276,10 @@ def test_reorder_rejects_non_permutation():
         reorder(state, [0, 1, 1])
     with pytest.raises(NotAPermutation):
         reorder(state, [0, 1])
+    for perm in ([2.2, 0.1, 1.0], ["2", "0", "1"]):
+        with pytest.raises(IndexOutOfRange, match="integers"):
+            reorder(state, perm)
+    assert reorder(state, np.array([2, 0, 1])) == reorder(state, [2, 0, 1])
 
 
 # -- photon numbers and purity ----------------------------------------------

@@ -46,6 +46,7 @@ from cvmodes.errors import (
 
 from oracles import (
     gklc_reference,
+    omega_kron,
     random_mixed_cov,
     random_standard_form,
     std_form_matrix,
@@ -120,6 +121,9 @@ def test_partial_transpose_rejects_empty_or_bad_side():
         partial_transpose(state, [5])
     with pytest.raises(DuplicateIndex):
         partial_transpose(state, [1, 1])
+    for side in (["1"], [0.9]):
+        with pytest.raises(IndexOutOfRange, match="integers"):
+            partial_transpose(state, side)
 
 
 # -- symplectic eigenvalues ------------------------------------------------------
@@ -282,10 +286,18 @@ def test_ppt_vacuum_separable():
     ((0, 1), ()),          # empty side B
     ((0, 1), (1, 2)),      # overlap
     ((0, 0), (1,)),        # repeated index within a side
+    ((0.7,), (1.9,)),      # not integers: no truncation to (0,)|(1,)
+    (("0",), (1,)),        # a string is not an index
 ])
 def test_bipartition_rejects_empty_overlapping_or_repeated_sides(side_a, side_b):
     with pytest.raises(IndexOutOfRange):
         Bipartition(side_a, side_b)
+
+
+def test_bipartition_takes_numpy_integers():
+    split = Bipartition((np.int64(1), np.int32(0)), np.array([2]))
+    assert (split.side_a, split.side_b) == ((0, 1), (2,))
+    assert all(type(k) is int for k in split.side_a + split.side_b)
 
 
 def test_log_negativity_of_a_stack_equals_its_rows():
@@ -363,9 +375,8 @@ def test_split_tables_are_built_once_and_cannot_be_changed():
     assert bipartition_scan(state) == before
     assert [s for s, _ in before] == enumerate_bipartitions(4)
     assert enumerate_bipartitions(4) is not enumerate_bipartitions(4)
-    masks, one_by_n = entanglement._split_table(
-        4, tuple(enumerate_bipartitions(4)))
-    assert masks is entanglement._split_table(4, tuple(enumerate_bipartitions(4)))[0]
+    masks, one_by_n = entanglement._splits(4)[1]
+    assert masks is entanglement._splits(4)[1][0]
     for table in (masks, one_by_n):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 0
@@ -373,12 +384,53 @@ def test_split_tables_are_built_once_and_cannot_be_changed():
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
 def test_scan_table_is_kept_per_register_size(n):
-    table = entanglement._scan_table(n)
-    assert table is entanglement._scan_table(n)
-    fresh = entanglement._split_table.__wrapped__(n, tuple(enumerate_bipartitions(n)))
+    splits, table = entanglement._splits(n)
+    assert table is entanglement._splits(n)[1]
+    assert splits == tuple(enumerate_bipartitions(n))
+    fresh = entanglement._split_table(n, splits)
     for kept, built in zip(table, fresh):
         assert np.array_equal(kept, built)
         assert not kept.flags.writeable
+
+
+def test_enumeration_builds_no_split_table():
+    before = entanglement._splits.cache_info()
+    assert len(enumerate_bipartitions(12)) == 12 + 66
+    assert entanglement._splits.cache_info() == before
+
+
+def pt_witness(cov, side_b):
+    # smallest symplectic eigenvalue of the Y-flipped matrix, by the oracle's form
+    n = cov.shape[0] // 2
+    flip = np.ones(2 * n)
+    flip[[2 * k + 1 for k in side_b]] = -1.0
+    ev = np.linalg.eigvals(omega_kron(n) @ (cov * np.outer(flip, flip)))
+    return float(np.abs(ev.imag).min())
+
+
+@pytest.mark.parametrize("n, side_a, side_b", [
+    (4, (0, 1, 2), (3,)),
+    (4, (1, 2), (0, 3)),
+    (8, (0, 1, 2), (3, 4, 5, 6, 7)),
+    (8, (2, 5, 7), (0, 1, 3, 4, 6)),
+])
+def test_single_split_deciders_take_splits_the_scan_does_not_list(n, side_a, side_b):
+    split = Bipartition(side_a, side_b)
+    assert split not in enumerate_bipartitions(n)
+    one_by_n = min(len(side_a), len(side_b)) == 1
+    for state in random_mixed_states(51, sizes=(n,)):
+        witness = pt_witness(state.cov, side_b)
+        ppt = ppt_verdict(state, split)
+        assert ppt.witness == pytest.approx(witness, abs=1e-9)
+        expected = (Status.ENTANGLED if witness < 0.5 - THRESHOLD_BAND else
+                    Status.SEPARABLE if one_by_n else Status.INCONCLUSIVE)
+        assert ppt.status is expected
+        verdict = iterative_separability(state, split)
+        assert (verdict.status.value, verdict.iterations) == gklc_reference(
+            state.cov, (side_a, side_b), DEFAULT_MAX_ITER, DEFAULT_ITER_TOL,
+            THRESHOLD_BAND)
+        assert (verdict.witness, verdict.log_negativity) == (
+            ppt.witness, ppt.log_negativity)
 
 
 def test_ppt_requires_covering_bipartition():

@@ -17,7 +17,7 @@ from cvmodes import (
     sigma4_closed_form,
     validate,
 )
-from cvmodes import core, pipeline
+from cvmodes import core
 from cvmodes.errors import (
     NonPositiveDeterminant,
     ParseError,
@@ -132,8 +132,8 @@ def test_reproduce_paper_computes_one_heisenberg_floor_per_state(monkeypatch):
 def test_relabel_step_keeps_its_input_facts(monkeypatch):
     calls = []
     for name in ("purity", "total_photon_number"):
-        fact = getattr(pipeline, name)
-        monkeypatch.setattr(pipeline, name,
+        fact = getattr(core, name)
+        monkeypatch.setattr(core, name,
                             lambda state, f=fact: calls.append(state) or f(state))
     result = run_pipeline(distribution_config(source=EXP_SOURCE))
     source, waveplate = result.diagnostics[:2]

@@ -123,6 +123,13 @@ def test_waveplate_shares_its_input_arrays_and_report():
     assert validate(quarter_waveplate_relabel(fresh)) == validate(fresh)
 
 
+def test_waveplate_shares_its_input_facts():
+    state = make_standard_form(EXP)
+    facts = state._facts
+    assert facts == (total_photon_number(state), purity(state))
+    assert quarter_waveplate_relabel(state)._facts is facts
+
+
 def test_waveplate_twice_is_an_error():
     once = quarter_waveplate_relabel(make_standard_form(EXP))
     with pytest.raises(BadPolarization):
