@@ -333,19 +333,25 @@ def _quadrature_indices(subset):
     return out
 
 
-def _cov_blocks(cov, subsets):
-    """Stack (k, 2m, 2m) of the blocks of ``cov`` on k mode subsets of size m.
+def _gather(n, subsets):
+    """Read-only flat indices into a (2n, 2n) matrix, one (2m, 2m) block each.
 
-    One gather; block k keeps the mode order of ``subsets[k]``.
+    ``cov.take(out[k])`` is the block of ``cov`` on the k-th subset of m
+    modes, in the mode order of ``subsets[k]``.
     """
     idx = np.array([_quadrature_indices(s) for s in subsets])
-    return cov[idx[:, :, None], idx[:, None, :]]
+    out = idx[:, :, None] * (2 * n) + idx[:, None, :]
+    out.flags.writeable = False
+    return out
 
 
 def _mode_indices(indices):
-    """``indices`` as ints; a float or a string, which int reads, is refused."""
+    """``indices`` as ints; a bool, a float or a string, which int reads, is refused."""
     try:
-        return [operator.index(k) for k in indices]
+        values = list(indices)
+        if bool in map(type, values):
+            raise TypeError("a boolean is not a mode index")
+        return [operator.index(k) for k in values]
     except TypeError as exc:
         raise IndexOutOfRange(f"mode indices must be integers: {indices!r}") from exc
 
@@ -367,7 +373,7 @@ def _select(state, modes):
     return GaussianState(
         ModeRegister(tuple(state.register[k] for k in modes)),
         state.mean[_quadrature_indices(modes)],
-        _cov_blocks(state.cov, [modes])[0],
+        state.cov.take(_gather(state.n_modes, [modes])[0]),
     )
 
 

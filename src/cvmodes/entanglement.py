@@ -29,7 +29,7 @@ from .core import (
     SHOT_NOISE,
     TOL_SYMMETRY,
     _check_subset,
-    _cov_blocks,
+    _gather,
     _heisenberg_floor,
     _mode_indices,
     symplectic_form,
@@ -198,7 +198,8 @@ def _check_band(band):
 
 
 def _split_table(n, splits):
-    """Read-only sign masks and 1xN flags of splits that cover n modes."""
+    """Read-only sign masks, 1xN flags, gather orders (side-A quadratures
+    first) and side-A sizes of splits that cover n modes."""
     for s in splits:
         if sorted(s.side_a + s.side_b) != list(range(n)):
             raise IndexOutOfRange(
@@ -207,32 +208,47 @@ def _split_table(n, splits):
             )
     masks = _sign_masks(n, [s.side_b for s in splits])
     one_by_n = np.array([min(len(s.side_a), len(s.side_b)) == 1 for s in splits])
-    masks.flags.writeable = False
-    one_by_n.flags.writeable = False
-    return masks, one_by_n
+    order = _gather(n, [s.side_a + s.side_b for s in splits])
+    size_a = np.array([len(s.side_a) for s in splits])
+    for table in (masks, one_by_n, size_a):
+        table.flags.writeable = False
+    return masks, one_by_n, order, size_a
 
 
-def _ppt(cov, table, band):
-    """PPT verdict of each split on its slice of the stack ``cov``.
+def _decide(cov, table, band, escalate):
+    """Verdict of each split of ``table`` on its slice of the stack ``cov``.
 
     ``cov`` is a (k, 2n, 2n) stack or one (2n, 2n) matrix, and ``table``
     the :func:`_split_table` of k splits or of one split for every slice.
     Every decider passes here, so this is where ``band`` and ``cov`` are
     checked: the sign-flipped copies D cov D are finite, symmetric and
-    positive definite exactly when ``cov`` is.
+    positive definite exactly when ``cov`` is.  A status code is an index
+    into Status: 0 entangled, 1 separable, 2 inconclusive.  The splits of
+    one matrix whose partial-transpose code is at least ``escalate`` (0:
+    all, 2: the open ones, 3: none) go on to one :func:`_gklc` call per
+    side-A size.
     """
     _check_band(band)
     _check_positive_definite(cov)
-    masks, one_by_n = table
+    masks, one_by_n, order, size_a = table
     spectra = _symplectic_spectrum(cov * masks)
     witness = spectra[:, 0]
-    # index into Status: 0 entangled, 1 separable, 2 inconclusive
-    codes = np.where(witness < SHOT_NOISE - band, 0, np.where(one_by_n, 1, 2))
+    codes = np.where(witness < SHOT_NOISE - band, 0, np.where(one_by_n, 1, 2)).tolist()
+    iterations = [None] * len(codes)
+    groups = {}
+    for k, code in enumerate(codes):
+        if code >= escalate:
+            groups.setdefault(int(size_a[k]), []).append(k)
+    for m, group in groups.items():
+        for k, decided in zip(group, _gklc(2.0 * cov.take(order[group]), m, band)):
+            codes[k], iterations[k] = decided
     statuses = list(Status)
     return [
-        EntanglementVerdict(statuses[c], w, logneg, Method.PPT)
-        for c, w, logneg in zip(codes.tolist(), witness.tolist(),
-                                log_negativity_from_spectrum(spectra).tolist())
+        EntanglementVerdict(statuses[c], w, logneg,
+                            Method.PPT if it is None else Method.ITERATIVE, it)
+        for c, w, logneg, it in zip(codes, witness.tolist(),
+                                    log_negativity_from_spectrum(spectra).tolist(),
+                                    iterations)
     ]
 
 
@@ -245,7 +261,8 @@ def ppt_verdict(state, bipartition, band=THRESHOLD_BAND):
     splits return Inconclusive since the partial transpose cannot rule
     out bound entanglement there.
     """
-    return _ppt(state.cov, _split_table(state.n_modes, (bipartition,)), band)[0]
+    table = _split_table(state.n_modes, (bipartition,))
+    return _decide(state.cov, table, band, escalate=3)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -256,76 +273,54 @@ def _gklc(gamma, m, band):
     """GKLC recursion on a stack (k, 2n, 2n) of gamma = 2 cov matrices.
 
     The first ``m`` modes of every slice form side A.  Returns one
-    (status, iterations) pair per slice, equal to running the recursion
-    on each slice alone: every round makes one stacked Hermitian
+    (status code, iterations) pair per slice, equal to running the
+    recursion on each slice alone: every round makes one stacked Hermitian
     eigen-call, of B + i J_B, and one stacked SVD over the slices still
     without a certificate (round 1 also takes the floor of A).
     DEFAULT_MAX_ITER and DEFAULT_ITER_TOL are read at call time.
     """
-    k = gamma.shape[0]
     a_blk = gamma[:, : 2 * m, : 2 * m]
     b_blk = gamma[:, 2 * m:, 2 * m:]
     c_blk = gamma[:, : 2 * m, 2 * m:]
-    j_a = symplectic_form(m)
-    j_b = symplectic_form(gamma.shape[-1] // 2 - m)
+    ij_a = 1j * symplectic_form(m)
+    ij_b = 1j * symplectic_form(gamma.shape[-1] // 2 - m)
     # gamma = 2 cov, so the physicality floor doubles too
     ent_eps = 2.0 * band
 
-    out = [(Status.INCONCLUSIVE, DEFAULT_MAX_ITER)] * k
-    live = np.arange(k)
+    live = list(range(len(gamma)))
+    out = [(2, DEFAULT_MAX_ITER)] * len(live)
     min_a = _heisenberg_floor(a_blk)
     for it in range(1, DEFAULT_MAX_ITER + 1):
         # B's spectrum gives its floor and the pseudo-inverse below; from
         # round 2 on B is A, so it gives A's floor as well
-        w, v = np.linalg.eigh(b_blk + 1j * j_b)
+        w, v = np.linalg.eigh(b_blk + ij_b)
         norm_c = np.linalg.svd(c_blk, compute_uv=False)[:, 0]
         floor = np.minimum(min_a, w[:, 0]) if it == 1 else w[:, 0]
-        above_norm = floor >= norm_c - 1e-12
-        entangled = floor < -ent_eps
-        separable = ~entangled & (
-            above_norm | ((norm_c <= DEFAULT_ITER_TOL) & (floor >= -ent_eps))
-        )
-        for j in np.flatnonzero(entangled):
-            out[live[j]] = (Status.ENTANGLED, it)
-        for j in np.flatnonzero(separable):
-            out[live[j]] = (Status.SEPARABLE, it)
-
-        keep = ~(entangled | separable)
-        if not keep.any():
+        keep = []
+        for j, (f, c) in enumerate(zip(floor.tolist(), norm_c.tolist())):
+            if f < -ent_eps:
+                out[live[j]] = (0, it)
+            elif f >= c - 1e-12 or (c <= DEFAULT_ITER_TOL and f >= -ent_eps):
+                out[live[j]] = (1, it)
+            else:
+                keep.append(j)
+        if not keep:
             break
-        live = live[keep]
-        a_blk, c_blk, w, v = a_blk[keep], c_blk[keep], w[keep], v[keep]
+        if len(keep) < len(live):
+            live = [live[j] for j in keep]
+            a_blk, c_blk, w, v = a_blk[keep], c_blk[keep], w[keep], v[keep]
         # X = C (B - i J_B)^+ C^T with B - i J_B = conj(V) diag(w) V^T; 1/w
         # is dropped where |w| <= 1e-15 max|w|, the cutoff of numpy's pinv
         y = c_blk @ v.conj()
-        large = np.abs(w) > 1e-15 * np.abs(w).max(axis=-1, keepdims=True)
-        inv_w = np.divide(1.0, w, out=np.zeros_like(w), where=large)
-        x = (y * inv_w[:, None, :]) @ np.swapaxes(y.conj(), -1, -2)
+        mag = np.abs(w)
+        large = mag > 1e-15 * mag.max(axis=-1, keepdims=True)
+        inv_w = np.divide(1.0, w, out=np.zeros(w.shape), where=large)
+        x = (y * inv_w[:, None, :]) @ y.conj().transpose(0, 2, 1)
         a_blk = a_blk - x.real
         b_blk = a_blk
         c_blk = -x.imag
-        j_b = j_a
+        ij_b = ij_a
     return out
-
-
-def _escalate(cov, splits, verdicts, rows, band):
-    """Replace ``verdicts[k]``, k in ``rows``, by its GKLC verdict; return them.
-
-    One gather of gamma = 2 cov (side-A modes first) and one :func:`_gklc`
-    call per side-A size; the PPT diagnostics are kept.
-    """
-    groups = {}
-    for k in rows:
-        groups.setdefault(len(splits[k].side_a), []).append(k)
-    for m, group in groups.items():
-        gamma = 2.0 * _cov_blocks(
-            cov, [splits[k].side_a + splits[k].side_b for k in group]
-        )
-        for k, (status, iterations) in zip(group, _gklc(gamma, m, band)):
-            ppt = verdicts[k]
-            verdicts[k] = EntanglementVerdict(status, ppt.witness, ppt.log_negativity,
-                                              Method.ITERATIVE, iterations)
-    return verdicts
 
 
 def iterative_separability(state, bipartition, band=THRESHOLD_BAND):
@@ -355,8 +350,8 @@ def iterative_separability(state, bipartition, band=THRESHOLD_BAND):
     decided as a stack of one by the same kernels that serve
     :func:`bipartition_scan`, so both give the same verdict, bit for bit.
     """
-    verdicts = _ppt(state.cov, _split_table(state.n_modes, (bipartition,)), band)
-    return _escalate(state.cov, (bipartition,), verdicts, [0], band)[0]
+    table = _split_table(state.n_modes, (bipartition,))
+    return _decide(state.cov, table, band, escalate=0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +370,8 @@ def pairwise_entanglement_map(state, band=THRESHOLD_BAND):
     n = state.n_modes
     if n < 2:
         raise IndexOutOfRange("pairwise map needs at least two modes")
-    pairs = list(combinations(range(n), 2))
-    verdicts = _ppt(_cov_blocks(state.cov, pairs), _splits(2)[1], band)
+    pairs, order = _pairs(n)
+    verdicts = _decide(state.cov.take(order), _splits(2)[1], band, escalate=3)
     return EntanglementReport(state.register.tags, dict(zip(pairs, verdicts)), ())
 
 
@@ -394,6 +389,13 @@ def enumerate_bipartitions(n):
                 continue  # 2x2 splits are unordered; keep one of each
             splits.append(Bipartition(pair, tuple(everyone - set(pair))))
     return splits
+
+
+@cache
+def _pairs(n):
+    """The mode pairs (i < j) of n modes and their read-only gather order."""
+    pairs = tuple(combinations(range(n), 2))
+    return pairs, _gather(n, pairs)
 
 
 @cache
@@ -418,6 +420,4 @@ def bipartition_scan(state, band=THRESHOLD_BAND):
     if n > 8:
         raise IndexOutOfRange("bipartition scan is limited to 8 modes")
     splits, table = _splits(n)
-    verdicts = _ppt(state.cov, table, band)
-    rows = [k for k, v in enumerate(verdicts) if v.status is Status.INCONCLUSIVE]
-    return list(zip(splits, _escalate(state.cov, splits, verdicts, rows, band)))
+    return list(zip(splits, _decide(state.cov, table, band, escalate=2)))

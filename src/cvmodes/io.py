@@ -101,6 +101,17 @@ def _numbers(values, field, where):
     return values
 
 
+def _number(mapping, key, where):
+    """``mapping[key]`` as a float: one number by the rule of :func:`_numbers`."""
+    value = _require(mapping, key, where)
+    if type(value) is float:  # the common case needs no walk through _numbers
+        return value
+    try:
+        return float(_numbers(value, key, where))
+    except (TypeError, OverflowError) as exc:  # a list, or an over-long integer
+        raise ParseError(f"{where}.{key}: not a number") from exc
+
+
 def state_from_dict(data, require_physical=True, rescale=False, where="state"):
     """Build a state from the parsed file dict.
 
@@ -111,13 +122,8 @@ def state_from_dict(data, require_physical=True, rescale=False, where="state"):
     if not isinstance(data, dict):
         raise ParseError(f"{where}: top level must be an object")
     convention = _require(data, "convention", where)
-    sn = _numbers(_require(convention, "sn", f"{where}.convention"),
-                  "convention.sn", where)
+    sn = _number(convention, "sn", f"{where}.convention")
     ordering = _require(convention, "ordering", f"{where}.convention")
-    try:
-        sn = float(sn)
-    except (TypeError, OverflowError) as exc:  # a list, or an over-long integer
-        raise ParseError(f"{where}.convention.sn: not a number") from exc
     if not 0 < sn < math.inf:
         raise ParseError(f"{where}.convention.sn must be finite and > 0, got {sn}")
     if ordering != ORDERING:

@@ -32,7 +32,7 @@ from .entanglement import (
     pairwise_entanglement_map,
 )
 from .errors import CVModesError, ParseError, PipelineStepError
-from .io import _parse_register, load_state, read_json
+from .io import _number, _parse_register, load_state, read_json
 from .transforms import (
     QPlateSpec,
     apply,
@@ -48,21 +48,17 @@ ANALYSES = ("validate", "pairwise", "scan", "purity", "photons")
 def _source(source, where):
     """Parse a source object into a zero-argument callable building the state."""
     kind = source.get("kind") if isinstance(source, dict) else None
-    try:
-        if kind == "file":
-            if not isinstance(source["path"], str):
-                raise TypeError("'path' must be a string")
-            return partial(load_state, source["path"])
-        if kind == "standard_form":
-            a, b, c1, c2 = (float(source[k]) for k in ("a", "b", "c1", "c2"))
-            return partial(make_standard_form, StandardFormParams(a, b, c1, c2))
-        if kind == "opo":
-            r, eta = float(source["r"]), float(source.get("eta", 1.0))
-            return partial(opo_source, r, eta)
-    except KeyError as exc:
-        raise ParseError(f"{where}: {kind} source needs field {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{where}: {kind} source: {exc}") from exc
+    if kind == "file":
+        if not isinstance(source.get("path"), str):
+            raise ParseError(f"{where}: file source needs 'path', a string")
+        return partial(load_state, source["path"])
+    if kind == "standard_form":
+        params = [_number(source, k, where) for k in ("a", "b", "c1", "c2")]
+        return partial(make_standard_form, StandardFormParams(*params))
+    if kind == "opo":
+        r = _number(source, "r", where)
+        eta = _number(source, "eta", where) if "eta" in source else 1.0
+        return partial(opo_source, r, eta)
     raise ParseError(
         f"{where}: needs a 'kind' of file|standard_form|opo, got {kind!r}"
     )
@@ -81,11 +77,10 @@ def _step(step, where):
         register = _parse_register(step.get("modes"), f"{where}.modes")
         return op, partial(embed_with_vacua, vacuum_labels=register.modes)
     if op == "qplate":
+        q, delta = _number(step, "q", where), _number(step, "delta", where)
         try:
-            spec = QPlateSpec(float(step["q"]), float(step["delta"]))
-        except KeyError as exc:
-            raise ParseError(f"{where}: qplate needs a number {exc}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
+            spec = QPlateSpec(q, delta)
+        except (ValueError, OverflowError) as exc:  # 2q is not a nonzero integer
             raise ParseError(f"{where}: qplate: {exc}") from exc
         return op, partial(_qplate, spec=spec)
     if op == "reorder":

@@ -163,6 +163,20 @@ def test_transform_malformed_step_is_parse_error(source_file, tmp_path, capsys,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("config, field", [
+    ({"steps": [{"op": "qplate", "q": "0.5", "delta": True}]}, "steps[0].q"),
+    ({"source": {"kind": "opo", "r": "0.5", "eta": True}}, "source.r"),
+])
+def test_transform_config_number_that_is_not_a_number_exits_2(
+        source_file, tmp_path, capsys, config, field):
+    cfg = tmp_path / "strings.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["transform", source_file, "--config", cfg.as_posix()]) == 2
+    err = capsys.readouterr().err
+    assert f"{field}: " in err and "is not a number" in err
+    assert "Traceback" not in err
+
+
 def test_analyze_pairs_text(source_file, capsys):
     assert main(["analyze", source_file, "--pairs"]) == 0
     out = capsys.readouterr().out

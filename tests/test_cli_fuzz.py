@@ -82,12 +82,25 @@ def modes(tags, polarizations):
                        for tag, (pol, oam) in zip(tags, drawn)])
 
 
+# JSON values that Python's float() or numpy would read as numbers (or NaN)
+not_numbers = st.text(max_size=4) | st.booleans() | st.none()
+
+
+@st.composite
+def spoiled(draw, docs, fields):
+    """A document from ``docs``; half the time one of ``fields`` is not a number."""
+    doc = draw(docs)
+    field = draw(st.none() | st.sampled_from(fields))
+    return doc if field is None else {**doc, field: draw(not_numbers)}
+
+
 steps = st.one_of(
     st.just({"op": "waveplate"}),
     modes(["a~", "b~"], "LR").map(lambda m: {"op": "embed", "modes": m}),
     st.permutations(range(4)).map(lambda p: {"op": "reorder", "order": list(p)}),
-    st.builds(lambda q, delta: {"op": "qplate", "q": q, "delta": delta},
-              st.sampled_from([0.5, 1, -0.5]), st.floats(0.0, 7.0)),
+    spoiled(st.builds(lambda q, delta: {"op": "qplate", "q": q, "delta": delta},
+                      st.sampled_from([0.5, 1, -0.5]), st.floats(0.0, 7.0)),
+            ["q", "delta"]),
 )
 CANONICAL_STEPS = [
     {"op": "waveplate"},
@@ -97,10 +110,10 @@ CANONICAL_STEPS = [
     {"op": "qplate", "q": 0.5, "delta": 1.5707963267948966},
 ]
 sources = st.one_of(
-    st.builds(lambda r, eta: {"kind": "opo", "r": r, "eta": eta},
-              st.floats(0.0, 2.0), st.floats(0.3, 1.0)),
-    st.just({"kind": "standard_form", "a": 0.72, "b": 0.72,
-             "c1": 0.51, "c2": -0.51}),
+    spoiled(st.builds(lambda r, eta: {"kind": "opo", "r": r, "eta": eta},
+                      st.floats(0.0, 2.0), st.floats(0.3, 1.0)), ["r", "eta"]),
+    spoiled(st.just({"kind": "standard_form", "a": 0.72, "b": 0.72,
+                     "c1": 0.51, "c2": -0.51}), ["a", "b", "c1", "c2"]),
     st.just({"kind": "file", "path": "source.json"}),
 )
 configs = corrupted(st.fixed_dictionaries({
@@ -189,6 +202,10 @@ def assert_clean_exit(argv):
 @example(config={"source": {"kind": "standard_form", "a": 0.7}})
 @example(config={"source": {"kind": "file"}})
 @example(config={"source": {"kind": "opo", "r": -1.0}})
+@example(config={"steps": [{"op": "qplate", "q": "0.5", "delta": True}]})
+@example(config={"source": {"kind": "opo", "r": "0.5", "eta": True}})
+@example(config={"source": {"kind": "standard_form", "a": None, "b": 0.72,
+                            "c1": 0.51, "c2": -0.51}})
 def test_transform_any_config_exits_cleanly(workdir, config):
     path = workdir / "config.json"
     path.write_bytes(encode(config))

@@ -282,6 +282,17 @@ def test_reorder_rejects_non_permutation():
     assert reorder(state, np.array([2, 0, 1])) == reorder(state, [2, 0, 1])
 
 
+def test_booleans_are_not_mode_indices():
+    # int reads True as 1 and False as 0; a mode index is refused either way
+    state = vacuum_state(circular_register(3))
+    for subset in ([True], [False, 2], (np.True_,)):
+        with pytest.raises(IndexOutOfRange, match="integers"):
+            reduce(state, subset)
+    for perm in ([2, True, 0], [False, 2, 1]):
+        with pytest.raises(IndexOutOfRange, match="integers"):
+            reorder(state, perm)
+
+
 # -- photon numbers and purity ----------------------------------------------
 
 def test_vacuum_photon_numbers():

@@ -126,6 +126,19 @@ def test_partial_transpose_rejects_empty_or_bad_side():
             partial_transpose(state, side)
 
 
+@pytest.mark.parametrize("side_a, side_b", [
+    ((False,), (True,)),
+    ((0,), (True,)),
+    ((np.True_,), (0,)),
+])
+def test_booleans_are_not_split_indices(side_a, side_b):
+    # int reads True as 1 and False as 0; a mode index is refused either way
+    with pytest.raises(IndexOutOfRange, match="integers"):
+        Bipartition(side_a, side_b)
+    with pytest.raises(IndexOutOfRange, match="integers"):
+        partial_transpose(make_standard_form(EXP), [*side_a, *side_b][::-1])
+
+
 # -- symplectic eigenvalues ------------------------------------------------------
 
 def test_symplectic_eigenvalues_vacuum():
@@ -375,9 +388,9 @@ def test_split_tables_are_built_once_and_cannot_be_changed():
     assert bipartition_scan(state) == before
     assert [s for s, _ in before] == enumerate_bipartitions(4)
     assert enumerate_bipartitions(4) is not enumerate_bipartitions(4)
-    masks, one_by_n = entanglement._splits(4)[1]
+    masks, one_by_n, order, size_a = entanglement._splits(4)[1]
     assert masks is entanglement._splits(4)[1][0]
-    for table in (masks, one_by_n):
+    for table in (masks, one_by_n, order, size_a):
         with pytest.raises(ValueError, match="read-only"):
             table[0] = 0
 
@@ -391,6 +404,39 @@ def test_scan_table_is_kept_per_register_size(n):
     for kept, built in zip(table, fresh):
         assert np.array_equal(kept, built)
         assert not kept.flags.writeable
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_split_gather_order_takes_each_split_side_a_first(n):
+    splits, (_, _, order, size_a) = entanglement._splits(n)
+    assert order.shape == (len(splits), 2 * n, 2 * n)
+    cov = np.random.default_rng(n).random((2 * n, 2 * n))
+    for k, split in enumerate(splits):
+        rows = [2 * m + x for m in split.side_a + split.side_b for x in (0, 1)]
+        assert np.array_equal(cov.take(order[k]), cov[np.ix_(rows, rows)]), split
+        assert size_a[k] == len(split.side_a)
+    for table in (order, size_a):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0
+
+
+@pytest.mark.parametrize("decide", [ppt_verdict, iterative_separability])
+def test_single_split_deciders_build_a_fresh_table(monkeypatch, decide):
+    built = []
+
+    def spy(n, splits):
+        built.append((n, splits))
+        return split_table(n, splits)
+
+    split_table = entanglement._split_table
+    monkeypatch.setattr(entanglement, "_split_table", spy)
+    before = entanglement._splits.cache_info()
+    split = Bipartition((0, 2), (1, 3))
+    verdict = decide(distributed_state(), split)
+    assert built == [(4, (split,))]
+    assert entanglement._splits.cache_info() == before
+    scan = dict(bipartition_scan(distributed_state()))
+    assert verdict.witness == scan[split].witness
 
 
 def test_enumeration_builds_no_split_table():
@@ -560,23 +606,43 @@ def test_gklc_pseudo_inverse_of_a_singular_block_equals_reference():
 
 
 SCAN_ROWS_SHA256 = "4b017d4237e485ab8d2b1a8a4489bcecf02b7680852f98071f1062a42256a172"
+VERDICT_REPRS_SHA256 = "d4d32ffd400293dd1d4d9b1fc16ba9d3a61c7c81bfb1206fc7e7c065208f8853"
+
+
+def pinned_states():
+    """240 seeded mixed states, n cycling through 4, 6 and 8."""
+    rng = np.random.default_rng(2026)
+    for k in range(240):
+        n = (4, 6, 8)[k % 3]
+        register = ModeRegister(tuple(ModeLabel("H", j, f"m{j}") for j in range(n)))
+        yield GaussianState(register, np.zeros(2 * n), random_mixed_cov(rng, n))
 
 
 def test_scan_verdicts_and_iteration_counts_are_pinned():
     # (split, status, method, iterations) of every split of 240 seeded
     # mixed states, as decided by the recursion written with an eigvalsh
     # floor and numpy's pinv each round
-    rng = np.random.default_rng(2026)
     rows = []
-    for k in range(240):
-        n = (4, 6, 8)[k % 3]
-        register = ModeRegister(tuple(ModeLabel("H", j, f"m{j}") for j in range(n)))
-        state = GaussianState(register, np.zeros(2 * n), random_mixed_cov(rng, n))
+    for state in pinned_states():
         rows += [((split.side_a, split.side_b), v.status.value, v.method.value,
                   v.iterations) for split, v in bipartition_scan(state)]
     assert len(rows) == 5120
     assert sum(v[3] is not None and v[3] > 1 for v in rows) > 1000
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == SCAN_ROWS_SHA256
+
+
+def test_every_verdict_of_the_pinned_states_keeps_its_bits():
+    # the repr of each pairwise and scan verdict carries its witness and
+    # log-negativity to the last bit, with status, method and iterations
+    digest = hashlib.sha256()
+    count = 0
+    for state in pinned_states():
+        pairwise = pairwise_entanglement_map(state).pairwise
+        for verdict in [*pairwise.values(), *(v for _, v in bipartition_scan(state))]:
+            digest.update(repr(verdict).encode())
+            count += 1
+    assert count == 5120 + 80 * (6 + 15 + 28)
+    assert digest.hexdigest() == VERDICT_REPRS_SHA256
 
 
 def test_iterative_inconclusive_when_budget_exhausted(monkeypatch):

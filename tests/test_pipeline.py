@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -234,6 +235,23 @@ def test_step_fields_are_checked_when_parsed():
 ])
 def test_config_shape_is_checked_when_parsed(data):
     with pytest.raises(ParseError):
+        PipelineConfig.from_dict(data)
+
+
+@pytest.mark.parametrize("data, field", [
+    ({"steps": [{"op": "qplate", "q": "0.5", "delta": True}]}, "steps[0].q"),
+    ({"steps": [{"op": "qplate", "q": 0.5, "delta": True}]}, "steps[0].delta"),
+    ({"steps": [{"op": "qplate", "q": 0.5, "delta": [1.0]}]}, "steps[0].delta"),
+    ({"source": {"kind": "opo", "r": "0.5", "eta": True}}, "source.r"),
+    ({"source": {"kind": "opo", "r": 0.5, "eta": True}}, "source.eta"),
+    ({"source": {"kind": "opo", "r": 10 ** 400}}, "source.r"),
+    ({"source": {**EXP_SOURCE, "c2": None}}, "source.c2"),
+    ({"source": {**EXP_SOURCE, "a": "0.72"}}, "source.a"),
+])
+def test_config_numbers_are_json_numbers(data, field):
+    # the rule of state files: a string, a boolean, null or a list is not
+    # a number, though float() or numpy would read some of them as one
+    with pytest.raises(ParseError, match=re.escape(f"config.{field}: ")):
         PipelineConfig.from_dict(data)
 
 
