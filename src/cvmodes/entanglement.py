@@ -31,6 +31,7 @@ from .core import (
     _check_subset,
     _gather,
     _heisenberg_floor,
+    _i_symplectic_form,
     _mode_indices,
     symplectic_form,
 )
@@ -282,8 +283,8 @@ def _gklc(gamma, m, band):
     a_blk = gamma[:, : 2 * m, : 2 * m]
     b_blk = gamma[:, 2 * m:, 2 * m:]
     c_blk = gamma[:, : 2 * m, 2 * m:]
-    ij_a = 1j * symplectic_form(m)
-    ij_b = 1j * symplectic_form(gamma.shape[-1] // 2 - m)
+    ij_a = _i_symplectic_form(m)
+    ij_b = _i_symplectic_form(gamma.shape[-1] // 2 - m)
     # gamma = 2 cov, so the physicality floor doubles too
     ent_eps = 2.0 * band
 

@@ -20,6 +20,7 @@ from .core import (
     GaussianState,
     StandardFormParams,
     ValidityReport,
+    _measure,
     make_standard_form,
     reorder,
     validate,
@@ -168,6 +169,10 @@ def run_pipeline(config, state=None, band=THRESHOLD_BAND):
     carrying the step index (the source is step 0, where a ``ValueError``
     of the source model is wrapped too).  Identical configs produce
     identical results.
+
+    The step outputs are measured in one pass after the steps, with one
+    stacked Heisenberg floor per register size; the earliest failing
+    index is still the one raised.
     """
     try:
         if state is None:
@@ -179,12 +184,22 @@ def run_pipeline(config, state=None, band=THRESHOLD_BAND):
         diagnostics = [_diag(0, "source", state)]
     except (CVModesError, ValueError) as exc:
         raise PipelineStepError(0, "source", exc) from exc
+    outputs, failure = [], None
     for k, (op, run) in enumerate(config.steps, start=1):
         try:
             state = run(state)
-            diagnostics.append(_diag(k, op, state))
+        except CVModesError as exc:
+            failure = PipelineStepError(k, op, exc)
+            break
+        outputs.append(state)
+    _measure(outputs)
+    for k, ((op, _), output) in enumerate(zip(config.steps, outputs), start=1):
+        try:
+            diagnostics.append(_diag(k, op, output))
         except CVModesError as exc:
             raise PipelineStepError(k, op, exc) from exc
+    if failure is not None:
+        raise failure from failure.cause
 
     last = diagnostics[-1]
     facts = {"validate": last.validity, "purity": last.purity,
@@ -412,7 +427,7 @@ def reproduce_paper_json(outcome):
             }
             for d in result.diagnostics
         ],
-        "final_cov": [list(row) for row in outcome["final"].cov],
+        "final_cov": outcome["final"].cov.tolist(),
         "final_register": list(outcome["final"].register.tags),
         "photons": outcome["photons"],
         "report": report_to_dict(result.report),

@@ -409,6 +409,91 @@ def test_vacuum_heisenberg_floor_is_machine_zero():
     assert abs(validate(state).min_heisenberg_eigenvalue) <= 1e-12
 
 
+def random_covs(rng, n, count, asymmetry=0.0):
+    lmat = rng.normal(size=(count, 2 * n, 2 * n)) * 0.3
+    covs = 0.5 * np.eye(2 * n) + lmat @ lmat.transpose(0, 2, 1)
+    return covs + asymmetry * rng.normal(size=covs.shape)
+
+
+@pytest.mark.parametrize("asymmetry", [0.0, 1e-9])
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_stacked_heisenberg_floor_equals_one_call_per_matrix(n, asymmetry):
+    covs = random_covs(np.random.default_rng(100 + n), n, 12, asymmetry)
+    # unphysical slices too: a negative floor must stack the same way
+    covs[::3] -= 0.4 * np.eye(2 * n)
+    single = [core.min_heisenberg_eigenvalue(cov) for cov in covs]
+    stacked = core.min_heisenberg_eigenvalue(covs)
+    assert stacked.shape == (12,)
+    assert np.array_equal(stacked, single)
+    grid = core.min_heisenberg_eigenvalue(covs.reshape(3, 4, 2 * n, 2 * n))
+    assert np.array_equal(grid, np.reshape(single, (3, 4)))
+    assert min(single) < 0.0 < max(single)
+
+
+def test_heisenberg_floor_of_one_matrix_is_a_float():
+    cov = random_covs(np.random.default_rng(3), 3, 1)[0]
+    floor = core.min_heisenberg_eigenvalue(cov)
+    assert type(floor) is float
+    assert floor == pytest.approx(heisenberg_min_eig(cov), abs=1e-12)
+
+
+def test_i_symplectic_form_is_cached_and_read_only():
+    i_omega = core._i_symplectic_form(3)
+    assert core._i_symplectic_form(3) is i_omega
+    assert not i_omega.flags.writeable
+    assert np.array_equal(i_omega, 1j * symplectic_form(3))
+
+
+def test_measure_fills_the_reports_a_lazy_validity_would_give(monkeypatch):
+    rng = np.random.default_rng(11)
+    states = []
+    # asymmetries just inside and just outside TOL_SYMMETRY, then unphysical
+    for n, skew in ((2, 0.0), (3, 0.9e-10), (4, 0.0), (3, 1.1e-10), (2, 0.0),
+                    (4, 0.0)):
+        cov = random_covs(rng, n, 1)[0]
+        cov[0, 1] += skew
+        if n == 4:
+            cov -= 0.4 * np.eye(8)
+        register = ModeRegister(tuple(ModeLabel("H", k, f"m{k}") for k in range(n)))
+        states.append(GaussianState(register, np.zeros(2 * n), cov))
+    kept = validate(states[0])
+    calls = []
+    floor = core.min_heisenberg_eigenvalue
+    monkeypatch.setattr(core, "min_heisenberg_eigenvalue",
+                        lambda cov: calls.append(cov.shape) or floor(cov))
+    core._measure(states)
+    # one stack per register size; the state with a report is left alone
+    assert sorted(calls) == [(1, 4, 4), (2, 6, 6), (2, 8, 8)]
+    assert all("validity" in state.__dict__ for state in states)
+    assert states[0].validity is kept
+    for state in states:
+        fresh = GaussianState(state.register, state.mean, state.cov).validity
+        assert repr(state.validity) == repr(fresh)
+    assert [(s.validity.symmetric, s.validity.physical) for s in states] == [
+        (True, True), (True, True), (True, False),
+        (False, False), (True, True), (True, False)]
+
+
+def test_photon_numbers_keep_the_bits_of_the_array_expression():
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 4, 8):
+        for _ in range(25):
+            register = ModeRegister(tuple(ModeLabel("H", k, f"m{k}")
+                                          for k in range(n)))
+            state = GaussianState(register, rng.normal(size=2 * n) * 3.0,
+                                  random_covs(rng, n, 1)[0])
+            # the numpy expression the plain-float route replaced
+            var, mean = np.diagonal(state.cov), state.mean
+            reference = (var[0::2] + var[1::2] + mean[0::2] * mean[0::2]
+                         + mean[1::2] * mean[1::2] - 1.0) / 2.0
+            per_mode = [mean_photon_number(state, k) for k in range(n)]
+            assert all(type(v) is float for v in per_mode)
+            assert np.array(per_mode).tobytes() == reference.tobytes()
+            total = total_photon_number(state)
+            assert type(total) is float
+            assert total == float(sum(reference.tolist()))
+
+
 def test_states_are_immutable():
     state = vacuum_state(circular_register(2))
     with pytest.raises(ValueError):

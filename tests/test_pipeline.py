@@ -21,6 +21,7 @@ from cvmodes import (
 from cvmodes import core
 from cvmodes.errors import (
     NonPositiveDeterminant,
+    NumericalFailure,
     ParseError,
     PhysicalityViolation,
     PipelineStepError,
@@ -125,9 +126,10 @@ def test_reproduce_paper_computes_one_heisenberg_floor_per_state(monkeypatch):
     monkeypatch.setattr(core, "min_heisenberg_eigenvalue",
                         lambda cov: calls.append(cov) or floor(cov))
     reproduce_paper()
-    # the loaded source and the outputs of embed, reorder and q-plate; the
-    # waveplate relabel keeps its input's report
-    assert len(calls) == 4
+    # the loaded source, then one stack of the outputs of embed, reorder and
+    # q-plate; the waveplate relabel keeps its input's report
+    assert [cov.shape for cov in calls] == [(4, 4), (3, 8, 8)]
+    assert sum(len(cov) if cov.ndim == 3 else 1 for cov in calls) == 4
 
 
 def test_relabel_step_keeps_its_input_facts(monkeypatch):
@@ -142,6 +144,67 @@ def test_relabel_step_keeps_its_input_facts(monkeypatch):
         source.total_photons, source.purity, source.validity)
     # two facts for each of the four states with their own arrays
     assert len(calls) == 8
+
+
+def test_diagnostics_error_comes_before_a_later_step_error(monkeypatch):
+    config = PipelineConfig.from_dict({
+        "source": EXP_SOURCE,
+        "steps": [
+            {"op": "waveplate"},
+            {"op": "embed", "modes": [
+                {"tag": "a~", "polarization": "R", "oam": 1},
+                {"tag": "b~", "polarization": "L", "oam": -1},
+            ]},
+            {"op": "qplate", "delta": 1.0, "q": 1.0},  # no partner at OAM +-2
+        ],
+    })
+    with pytest.raises(PipelineStepError) as err:
+        run_pipeline(config)
+    assert (err.value.step_index, err.value.step_name) == (3, "qplate")
+
+    purity = core.purity
+
+    def failing_purity(state):
+        if state.n_modes == 4:
+            raise NonPositiveDeterminant("embed output")
+        return purity(state)
+
+    monkeypatch.setattr(core, "purity", failing_purity)
+    with pytest.raises(PipelineStepError) as err:
+        run_pipeline(config)
+    assert (err.value.step_index, err.value.step_name) == (2, "embed")
+    assert isinstance(err.value.cause, NonPositiveDeterminant)
+
+
+def test_failed_stacked_floor_leaves_each_state_its_own(monkeypatch):
+    config = distribution_config(source=EXP_SOURCE)
+    expected = run_pipeline(config).diagnostics
+    reordered = run_pipeline(PipelineConfig(
+        config.source, config.steps[:3], ())).final_state.cov
+    floor = core.min_heisenberg_eigenvalue
+    calls = []
+
+    def stacks_fail(cov):
+        calls.append(cov.shape)
+        if cov.ndim == 3:
+            raise NumericalFailure("stacked floor")
+        return floor(cov)
+
+    monkeypatch.setattr(core, "min_heisenberg_eigenvalue", stacks_fail)
+    result = run_pipeline(config)
+    assert repr(result.diagnostics) == repr(expected)
+    assert calls == [(4, 4), (3, 8, 8), (8, 8), (8, 8), (8, 8)]
+
+    def reorder_output_fails(cov):
+        if cov.ndim == 3 or np.array_equal(cov, reordered):
+            raise NumericalFailure("floor of the reorder output")
+        return floor(cov)
+
+    monkeypatch.setattr(core, "min_heisenberg_eigenvalue", reorder_output_fails)
+    with pytest.raises(PipelineStepError) as err:
+        run_pipeline(config)
+    assert (err.value.step_index, err.value.step_name) == (3, "reorder")
+    assert isinstance(err.value.cause, NumericalFailure)
 
 
 SWEEP_SHA256 = "b580dfa29b6a05016d9e601d49a3a92d0ca35e38a20420c7d77a946bc639002d"
