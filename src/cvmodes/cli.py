@@ -16,7 +16,7 @@ import sys
 from .core import validate
 from .entanglement import THRESHOLD_BAND, _check_band
 from .errors import CVModesError, ParseError
-from .io import load_cov_csv, load_state, parse_register_spec, save_state, state_to_dict
+from .io import _state_text, load_cov_csv, load_state, parse_register_spec, save_state
 from .pipeline import (
     PipelineConfig,
     emit_report,
@@ -73,9 +73,7 @@ def _cmd_transform(args):
     if args.output:
         save_state(result.final_state, args.output)
     else:
-        sys.stdout.write(
-            json.dumps(state_to_dict(result.final_state), indent=2) + "\n"
-        )
+        sys.stdout.write(_state_text(result.final_state))
     for d in result.diagnostics:
         sys.stderr.write(
             f"step {d.index} {d.step}: n={d.total_photons:.6f} "
@@ -104,11 +102,9 @@ def _cmd_analyze(args):
 
 def _cmd_reproduce(args):
     outcome = reproduce_paper(band=args.tol)
-    fmt = "json" if args.json else args.format
-    if fmt == "json":
-        sys.stdout.buffer.write(reproduce_paper_json(outcome))
-    else:
-        sys.stdout.buffer.write(reproduce_paper_text(outcome))
+    json_out = args.json or args.format == "json"
+    render = reproduce_paper_json if json_out else reproduce_paper_text
+    sys.stdout.buffer.write(render(outcome))
     return EXIT_OK
 
 
@@ -126,31 +122,29 @@ def build_parser():
                              "(default: 1e-9)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check a state file")
-    p.add_argument("file")
-    p.add_argument("--register", help="register spec for CSV input "
-                                      "(tag:pol:oam,...)")
-    p.add_argument("--rescale", action="store_true",
-                   help="accept files with sn != 1/2 by rescaling on load")
+    state_file = argparse.ArgumentParser(add_help=False)
+    state_file.add_argument("file")
+    state_file.add_argument("--register", help="register spec for CSV input "
+                                               "(tag:pol:oam,...)")
+    state_file.add_argument("--rescale", action="store_true",
+                            help="accept files with sn != 1/2 by rescaling on load")
+
+    p = sub.add_parser("validate", parents=[state_file], help="check a state file")
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("transform", help="run pipeline steps on a state file")
-    p.add_argument("file")
+    p = sub.add_parser("transform", parents=[state_file],
+                       help="run pipeline steps on a state file")
     p.add_argument("--config", required=True, help="pipeline config (JSON)")
     p.add_argument("--output", help="write the final state here "
                                     "(default: stdout)")
-    p.add_argument("--register", help="register spec for CSV input")
-    p.add_argument("--rescale", action="store_true")
     p.set_defaults(func=_cmd_transform)
 
-    p = sub.add_parser("analyze", help="entanglement analysis of a state file")
-    p.add_argument("file")
+    p = sub.add_parser("analyze", parents=[state_file],
+                       help="entanglement analysis of a state file")
     p.add_argument("--pairs", action="store_true",
                    help="pairwise marginal verdicts")
     p.add_argument("--scan", action="store_true",
                    help="full-register bipartition scan")
-    p.add_argument("--register", help="register spec for CSV input")
-    p.add_argument("--rescale", action="store_true")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("reproduce-paper",
@@ -171,12 +165,9 @@ def main(argv=None):
     try:
         _check_band(args.tol)
         return args.func(args)
-    except CVModesError as exc:
+    except (CVModesError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return exc.exit_code
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_PARSE
+        return getattr(exc, "exit_code", EXIT_PARSE)
 
 
 if __name__ == "__main__":

@@ -116,23 +116,18 @@ def two_mode_register():
     return ModeRegister((ModeLabel("H", 0, "a"), ModeLabel("V", 0, "b")))
 
 
-_SYMPLECTIC_FORMS = {}
-
-
+@cache
 def symplectic_form(n):
     """Symplectic form Omega for n modes: direct sum of [[0, 1], [-1, 0]].
 
     The array is built once per ``n`` and cached: repeated calls return
     the same read-only object, so callers must copy before writing.
     """
-    out = _SYMPLECTIC_FORMS.get(n)
-    if out is None:
-        block = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        out = np.zeros((2 * n, 2 * n))
-        for k in range(n):
-            out[2 * k: 2 * k + 2, 2 * k: 2 * k + 2] = block
-        out.flags.writeable = False
-        _SYMPLECTIC_FORMS[n] = out
+    block = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    out = np.zeros((2 * n, 2 * n))
+    for k in range(n):
+        out[2 * k: 2 * k + 2, 2 * k: 2 * k + 2] = block
+    out.flags.writeable = False
     return out
 
 

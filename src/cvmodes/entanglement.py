@@ -377,19 +377,15 @@ def pairwise_entanglement_map(state, band=THRESHOLD_BAND):
 
 
 def enumerate_bipartitions(n):
-    """All 1x(n-1) and 2x(n-2) unordered splits, in fixed order."""
+    """All 1x(n-1) and 2x(n-2) unordered splits, by side-A size m <= n - m."""
     if n < 2:
         raise IndexOutOfRange("bipartitions need at least two modes")
-    splits = []
-    everyone = set(range(n))
-    for i in range(n if n > 2 else 1):  # n = 2: {0}|{1} and {1}|{0} coincide
-        splits.append(Bipartition((i,), tuple(everyone - {i})))
-    if n >= 4:
-        for pair in combinations(range(n), 2):
-            if n == 4 and 0 not in pair:
-                continue  # 2x2 splits are unordered; keep one of each
-            splits.append(Bipartition(pair, tuple(everyone - set(pair))))
-    return splits
+    return [
+        Bipartition(side_a, tuple(k for k in range(n) if k not in side_a))
+        for m in range(1, min(2, n // 2) + 1)
+        for side_a in combinations(range(n), m)
+        if 2 * m < n or 0 in side_a  # an m|m split once, with mode 0 on side A
+    ]
 
 
 @cache

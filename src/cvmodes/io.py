@@ -38,9 +38,14 @@ def state_to_dict(state):
             {"tag": m.tag, "polarization": m.polarization, "oam": m.oam}
             for m in state.register
         ],
-        "mean": list(state.mean),
-        "cov": [list(row) for row in state.cov],
+        "mean": state.mean.tolist(),
+        "cov": state.cov.tolist(),
     }
+
+
+def _state_text(state):
+    """A state file's text: :func:`state_to_dict` as indented JSON."""
+    return json.dumps(state_to_dict(state), indent=2) + "\n"
 
 
 def _require(mapping, key, where):
@@ -174,8 +179,7 @@ def load_state(path, require_physical=True, rescale=False):
 def save_state(state, path):
     """Write a state file (UTF-8 JSON, full float precision)."""
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(state_to_dict(state), handle, indent=2)
-        handle.write("\n")
+        handle.write(_state_text(state))
 
 
 def load_cov_csv(path, register, require_physical=True):

@@ -392,7 +392,6 @@ def reproduce_paper(band=THRESHOLD_BAND):
     }
     elapsed = time.perf_counter() - t0
     return {
-        "source_tags": source.register.tags,
         "final": final,
         "result": result,
         "comparisons": {

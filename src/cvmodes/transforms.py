@@ -229,18 +229,13 @@ def _qplate_layout(shift, register):
     return tuple(pairs), _output_register(register, pairs)
 
 
-def _pair_stem(tag_i, tag_j):
-    stem = os.path.commonprefix([tag_i, tag_j]).rstrip("~")
-    return stem
-
-
 def _output_register(register, pairs):
     # Within each coupled pair the earlier mode becomes <stem>1 and the
     # later <stem>2; polarization and OAM stay put.  Falls back to the
     # original tags when the derived names would collide.
     tags = list(register.tags)
     for i, j in pairs:
-        stem = _pair_stem(register[i].tag, register[j].tag)
+        stem = os.path.commonprefix([register[i].tag, register[j].tag]).rstrip("~")
         if not stem:
             return register
         tags[i] = stem + "1"

@@ -14,6 +14,7 @@ from cvmodes import (
     run_pipeline,
     save_state,
 )
+from cvmodes import cli
 from cvmodes.cli import main
 from cvmodes.fixtures import load_state_fixture
 from cvmodes.io import state_to_dict
@@ -125,6 +126,74 @@ def test_transform_writes_final_state(source_file, distribution_cfg, tmp_path,
     doc = json.loads(out_path.read_text())
     assert [m["tag"] for m in doc["register"]] == ["a1", "a2", "b1", "b2"]
     assert doc["cov"][0][0] == pytest.approx(0.61, abs=1e-12)
+
+
+def test_transform_to_stdout_writes_the_bytes_of_the_output_file(
+        source_file, distribution_cfg, tmp_path, capsys):
+    out_path = tmp_path / "final.json"
+    assert main(["transform", source_file, "--config", distribution_cfg,
+                 "--output", str(out_path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["transform", source_file, "--config", distribution_cfg]) == 0
+    assert capsys.readouterr().out.encode() == out_path.read_bytes()
+
+
+STATE_COMMANDS = {
+    "validate": [],
+    "transform": ["--config", "CONFIG", "--output", "OUT"],
+    "analyze": ["--pairs"],
+}
+
+
+@pytest.mark.parametrize("command", STATE_COMMANDS)
+def test_state_file_options_work_on_every_state_command(
+        tmp_path, distribution_cfg, capsys, command):
+    state = make_standard_form(EXP)
+    csv_path = tmp_path / "m.csv"
+    csv_path.write_text("\n".join(",".join(repr(float(v)) for v in row)
+                                  for row in state.cov))
+    doc = state_to_dict(state)
+    doc["convention"]["sn"] = 1.0
+    doc["cov"] = (2.0 * state.cov).tolist()
+    sn1_path = tmp_path / "sn1.json"
+    sn1_path.write_text(json.dumps(doc))
+    files = {"CONFIG": distribution_cfg, "OUT": str(tmp_path / "out.json")}
+    rest = [files.get(a, a) for a in STATE_COMMANDS[command]]
+
+    assert main([command, str(csv_path), *rest]) == 2
+    assert main([command, str(csv_path), "--register", "a:H:0,b:V:0", *rest]) == 0
+    assert main([command, str(sn1_path), *rest]) == 2
+    assert main([command, str(sn1_path), "--rescale", *rest]) == 0
+
+
+@pytest.mark.parametrize("command", [*STATE_COMMANDS, "reproduce-paper"])
+def test_every_subcommand_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: cvmodes {command}")
+    if command in STATE_COMMANDS:
+        assert "(tag:pol:oam,...)" in out and "rescaling on load" in out
+
+
+@pytest.mark.parametrize("exc", [
+    *(cls("x") for cls in vars(errors).values()
+      if isinstance(cls, type) and issubclass(cls, errors.CVModesError)
+      and cls is not errors.PipelineStepError),
+    errors.PipelineStepError(1, "qplate", errors.NumericalFailure("x")),
+    FileNotFoundError(2, "No such file or directory", "x.json"),
+    IsADirectoryError(21, "Is a directory", "x"),
+], ids=lambda exc: type(exc).__name__)
+def test_one_error_line_and_the_class_exit_code(monkeypatch, capsys, exc):
+    def fail(args, require_physical=True):
+        raise exc
+
+    monkeypatch.setattr(cli, "_load_input", fail)
+    assert main(["validate", "x.json"]) == getattr(exc, "exit_code", 2)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {exc}\n"
 
 
 def test_transform_step_error_exit_code(source_file, tmp_path, capsys):

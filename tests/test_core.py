@@ -62,6 +62,13 @@ def test_register_allows_same_physical_label_distinct_tags():
     assert reg.index("b") == 1
 
 
+def test_register_needs_a_mode_and_finds_only_its_own_tags():
+    with pytest.raises(ValueError, match="at least one mode"):
+        ModeRegister(())
+    with pytest.raises(IndexOutOfRange, match="no mode tagged 'c'"):
+        two_mode_register().index("c")
+
+
 def test_mode_label_validation():
     with pytest.raises(ValueError):
         ModeLabel("X", 0, "a")

@@ -1,4 +1,5 @@
 import hashlib
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -193,6 +194,12 @@ def test_symplectic_eigenvalues_reject_non_finite():
         stack = np.stack([0.5 * np.eye(4), sigma])
         with pytest.raises(NumericalFailure, match="non-finite"):
             symplectic_eigenvalues(stack)
+
+
+@pytest.mark.parametrize("shape", [(), (4,), (0, 0), (3, 3), (2, 4), (5, 4, 3)])
+def test_symplectic_eigenvalues_reject_a_shape_that_is_not_even_square(shape):
+    with pytest.raises(NumericalFailure, match="not even-square"):
+        symplectic_eigenvalues(np.ones(shape))
 
 
 def test_symplectic_eigenvalues_stack_rejects_one_bad_slice():
@@ -437,6 +444,32 @@ def test_single_split_deciders_build_a_fresh_table(monkeypatch, decide):
     assert entanglement._splits.cache_info() == before
     scan = dict(bipartition_scan(distributed_state()))
     assert verdict.witness == scan[split].witness
+
+
+def parent_enumeration(n):
+    # the split list as it was written before the general rule, with one
+    # branch for n = 2 and one for n = 4
+    splits = []
+    everyone = set(range(n))
+    for i in range(n if n > 2 else 1):
+        splits.append(Bipartition((i,), tuple(everyone - {i})))
+    if n >= 4:
+        for pair in combinations(range(n), 2):
+            if n == 4 and 0 not in pair:
+                continue
+            splits.append(Bipartition(pair, tuple(everyone - set(pair))))
+    return splits
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_enumeration_keeps_the_splits_and_order_of_the_special_cases(n):
+    assert enumerate_bipartitions(n) == parent_enumeration(n)
+
+
+def test_scan_refuses_more_than_eight_modes():
+    register = ModeRegister(tuple(ModeLabel("H", k, f"m{k}") for k in range(9)))
+    with pytest.raises(IndexOutOfRange, match="limited to 8 modes"):
+        bipartition_scan(vacuum_state(register))
 
 
 def test_enumeration_builds_no_split_table():

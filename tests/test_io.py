@@ -94,6 +94,15 @@ def test_unphysical_file_rejected_with_eigenvalue(tmp_path):
     assert np.array_equal(state.cov, np.zeros((4, 4)))
 
 
+def test_asymmetric_state_is_refused_as_asymmetric(tmp_path):
+    doc = state_to_dict(make_standard_form(EXP))
+    doc["cov"][0][1] += 1e-6
+    path = tmp_path / "asymmetric.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(PhysicalityViolation, match="is not symmetric within 1e-10"):
+        load_state(path)
+
+
 def test_foreign_shot_noise_rejected_then_rescaled(tmp_path):
     doc = state_to_dict(make_standard_form(EXP))
     doc["convention"]["sn"] = 1.0
@@ -145,6 +154,16 @@ def test_csv_import(tmp_path):
     assert np.array_equal(state.mean, np.zeros(4))
 
 
+def test_csv_skips_blank_lines(tmp_path):
+    cov = make_standard_form(EXP).cov
+    rows = [",".join(repr(float(v)) for v in row) for row in cov]
+    path = tmp_path / "matrix.csv"
+    # an empty line, and a line of empty cells, between and around the rows
+    path.write_text("\n".join(["", rows[0], "", rows[1], " , ,", *rows[2:], ""]))
+    state = load_cov_csv(path, parse_register_spec("a:H:0,b:V:0"))
+    assert np.array_equal(state.cov, cov)
+
+
 def test_csv_wrong_shape(tmp_path):
     path = tmp_path / "matrix.csv"
     path.write_text("0.5,0\n0,0.5\n")
@@ -194,6 +213,9 @@ NOT_NUMBERS = {
                                              "ordering": "interleaved"}}),
     ("nan_cell.csv", b"nan,0,0,0\n0,0.5,0,0\n0,0,0.5,0\n0,0,0,0.5\n"),
     *NOT_NUMBERS.items(),
+    ("repeated_label.json", {"register": [
+        {"tag": "a", "polarization": "H", "oam": 0},
+        {"tag": "a", "polarization": "H", "oam": 0}]}),
 ])
 def test_malformed_files_are_a_parse_error(tmp_path, name, content):
     path = tmp_path / name

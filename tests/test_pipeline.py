@@ -7,12 +7,17 @@ import numpy as np
 import pytest
 
 from cvmodes import (
+    Bipartition,
     EntanglementReport,
+    Method,
     StandardFormParams,
     Status,
+    bipartition_scan,
     distribution_config,
     emit_report,
+    iterative_separability,
     make_standard_form,
+    pairwise_entanglement_map,
     reproduce_paper,
     run_pipeline,
     sigma4_closed_form,
@@ -118,6 +123,27 @@ def test_strong_squeezing_gets_verdicts(r):
     assert entangled == {(0, 2), (0, 3), (1, 2), (1, 3)}
     assert len(result.report.pairwise) == 6
     assert len(result.report.bipartitions) == 7
+
+
+def test_extreme_squeezing_reports_no_false_entanglement():
+    # every step diagnostic passes (floor +0.0036), but the entries reach
+    # 3.5e15: a 60-digit spectrum of these float matrices gives nu >= 1/2
+    # on every pair and split, while float64 eigvals gives 0.28-0.49 on
+    # some.  numpy's Cholesky factors the matrix and every pair marginal,
+    # so a Cholesky gate alone would not refuse it.  A decision here must
+    # refuse (NumericalFailure) or find no entanglement.
+    final = run_pipeline(distribution_config(
+        source={"kind": "opo", "r": 19.906514414595982,
+                "eta": 0.08091842956608453},
+        delta=0.6519761634901031, analyses=())).final_state
+    assert validate(final).physical
+    for verdicts in (lambda: pairwise_entanglement_map(final).pairwise.values(),
+                     lambda: [v for _, v in bipartition_scan(final)]):
+        try:
+            statuses = {v.status for v in verdicts()}
+        except NumericalFailure:
+            continue
+        assert Status.ENTANGLED not in statuses
 
 
 def test_reproduce_paper_computes_one_heisenberg_floor_per_state(monkeypatch):
@@ -382,6 +408,16 @@ def test_empty_report_renders():
     assert b"empty" in emit_report(empty, "text")
     parsed = json.loads(emit_report(empty, "json").decode())
     assert parsed["pairwise"] == [] and parsed["bipartitions"] == []
+
+
+def test_text_report_shows_the_iterations_of_an_iterative_verdict():
+    split = Bipartition((0,), (1,))
+    verdict = iterative_separability(make_standard_form(EXP), split)
+    assert verdict.method is Method.ITERATIVE and verdict.iterations > 0
+    report = EntanglementReport(("a", "b"), {}, ((split, verdict),))
+    text = emit_report(report, "text").decode()
+    assert f"[iterative]  iterations {verdict.iterations}\n" in text
+    assert "iterations" not in emit_report(full_report(), "text").decode()
 
 
 def test_unknown_report_format():

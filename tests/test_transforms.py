@@ -69,6 +69,15 @@ def test_transform_rejects_non_symplectic():
             SymplecticTransform(np.full((4, 4), bad), reg, reg)
 
 
+def test_transform_rejects_registers_and_matrices_of_other_sizes():
+    reg = two_mode_register()
+    three = ModeRegister(tuple(ModeLabel("H", k, f"m{k}") for k in range(3)))
+    with pytest.raises(RegisterMismatch, match="differ in size"):
+        SymplecticTransform(np.eye(4), reg, three)
+    with pytest.raises(NonSymplectic, match=r"shape \(6, 6\) does not match 2-mode"):
+        SymplecticTransform(np.eye(6), reg, reg)
+
+
 def test_identity_apply_is_noop():
     state = make_standard_form(EXP)
     out = apply(identity_transform(state.register), state)
@@ -277,6 +286,18 @@ def test_qplate_other_charges_pair_by_oam_shift():
     pairs = qplate_pairing(QPlateSpec(1.5, np.pi / 2), reg)
     assert pairs == [(0, 1)]
     with pytest.raises(UnpairedMode):
+        qplate_pairing(QPlateSpec(0.5, np.pi / 2), reg)
+
+
+@pytest.mark.parametrize("modes, message", [
+    # [L,0] has two [R,1] partners
+    ((("L", 0, "a"), ("R", 1, "b"), ("R", 1, "c")), "several candidate partners"),
+    # the second [L,0] finds its only [R,1] partner taken by the first
+    ((("L", 0, "a"), ("R", 1, "b"), ("L", 0, "c")), "partner already claimed"),
+])
+def test_qplate_refuses_an_ambiguous_pairing(modes, message):
+    reg = ModeRegister(tuple(ModeLabel(*m) for m in modes))
+    with pytest.raises(UnpairedMode, match=message):
         qplate_pairing(QPlateSpec(0.5, np.pi / 2), reg)
 
 
