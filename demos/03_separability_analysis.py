@@ -1,4 +1,4 @@
-"""Deciding entanglement for every pair and every bipartition.
+"""Deciding entanglement for every pair and every bipartition of four modes.
 
 The partial-transpose witness settles all 1xN splits; the iterative
 criterion settles the rest.  On the distributed four-mode state each

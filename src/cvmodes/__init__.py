@@ -1,6 +1,7 @@
 """cvmodes: Gaussian optical states as covariance matrices over
 polarization/OAM-labeled modes, q-plate entanglement distribution, and
-separability analysis of every bipartition.
+separability analysis of every pair and of the listed bipartitions (every
+split up to 5 modes; the 1|n-1 and 2|n-2 splits at 6 to 8 modes).
 """
 
 from .core import (

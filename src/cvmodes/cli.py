@@ -27,7 +27,6 @@ from .pipeline import (
 )
 
 EXIT_OK = 0
-EXIT_PARSE = 2
 
 
 def _load_input(args, require_physical=True):
@@ -167,7 +166,7 @@ def main(argv=None):
         return args.func(args)
     except (CVModesError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return getattr(exc, "exit_code", EXIT_PARSE)
+        return getattr(exc, "exit_code", CVModesError.exit_code)
 
 
 if __name__ == "__main__":

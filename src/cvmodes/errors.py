@@ -1,10 +1,11 @@
 """Exception hierarchy for the cvmodes package.
 
-Every error raised by the library derives from :class:`CVModesError` so
-callers can catch the whole family with one clause.  Each class carries
-the process exit code the CLI returns for it in ``exit_code``: 2 for bad
-input (the default), 3 for a failed pipeline step, 4 for a numerical
-failure.
+Errors on input and numerics derive from :class:`CVModesError`, but bad
+arguments to ``ModeLabel``, ``ModeRegister``, ``QPlateSpec`` and
+``opo_source`` raise ``ValueError``, which the file and config readers and
+``run_pipeline`` wrap.  Each class carries the process exit code the CLI
+returns for it in ``exit_code``: 2 for bad input (the default), 3 for a
+failed pipeline step, 4 for a numerical failure.
 """
 
 

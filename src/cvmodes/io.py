@@ -24,6 +24,7 @@ from .core import (
 from .errors import (
     ConventionMismatch,
     DimensionMismatch,
+    DuplicateLabel,
     ParseError,
     PhysicalityViolation,
 )
@@ -46,6 +47,11 @@ def state_to_dict(state):
 def _state_text(state):
     """A state file's text: :func:`state_to_dict` as indented JSON."""
     return json.dumps(state_to_dict(state), indent=2) + "\n"
+
+
+def _compact_json(doc):
+    """A report's bytes: ``doc`` as one line of JSON with sorted keys."""
+    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
 
 def _require(mapping, key, where):
@@ -74,7 +80,7 @@ def _parse_register(entries, where="register"):
             raise ParseError(f"{where}[{k}]: {exc}") from exc
     try:
         return ModeRegister(tuple(modes))
-    except Exception as exc:
+    except (ValueError, DuplicateLabel) as exc:
         raise ParseError(f"{where}: {exc}") from exc
 
 
@@ -108,11 +114,8 @@ def _numbers(values, field, where):
 
 def _number(mapping, key, where):
     """``mapping[key]`` as a float: one number by the rule of :func:`_numbers`."""
-    value = _require(mapping, key, where)
-    if type(value) is float:  # the common case needs no walk through _numbers
-        return value
     try:
-        return float(_numbers(value, key, where))
+        return float(_numbers(_require(mapping, key, where), key, where))
     except (TypeError, OverflowError) as exc:  # a list, or an over-long integer
         raise ParseError(f"{where}.{key}: not a number") from exc
 
@@ -164,7 +167,7 @@ def read_json(path):
         raise ParseError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-    except ValueError as exc:  # not UTF-8, or an over-long integer literal
+    except (ValueError, RecursionError) as exc:  # not UTF-8, huge int, too deep
         raise ParseError(f"{path}: {exc}") from exc
 
 

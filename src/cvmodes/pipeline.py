@@ -8,7 +8,6 @@ diagnostics record total photon number, purity, and the Heisenberg
 eigenvalue floor so that physicality regressions are visible immediately.
 """
 
-import json
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -33,7 +32,7 @@ from .entanglement import (
     pairwise_entanglement_map,
 )
 from .errors import CVModesError, ParseError, PipelineStepError
-from .io import _number, _parse_register, load_state, read_json
+from .io import _compact_json, _number, _parse_register, load_state, read_json
 from .transforms import (
     QPlateSpec,
     apply,
@@ -81,7 +80,7 @@ def _step(step, where):
         q, delta = _number(step, "q", where), _number(step, "delta", where)
         try:
             spec = QPlateSpec(q, delta)
-        except (ValueError, OverflowError) as exc:  # 2q is not a nonzero integer
+        except ValueError as exc:  # 2q is not a nonzero integer
             raise ParseError(f"{where}: qplate: {exc}") from exc
         return op, partial(_qplate, spec=spec)
     if op == "reorder":
@@ -339,9 +338,7 @@ def emit_report(report, format="text"):
     identical inputs.
     """
     if format == "json":
-        payload = json.dumps(report_to_dict(report), sort_keys=True,
-                             separators=(",", ":"))
-        return (payload + "\n").encode("utf-8")
+        return _compact_json(report_to_dict(report))
     if format == "text":
         return _render_text(report).encode("utf-8")
     raise ParseError(f"unknown report format {format!r}")
@@ -386,10 +383,6 @@ def reproduce_paper(band=THRESHOLD_BAND):
         for r, c in typo_cells
     ]
 
-    pairs = {
-        (result.report.tags[i], result.report.tags[j]): v.status.value
-        for (i, j), v in result.report.pairwise.items()
-    }
     elapsed = time.perf_counter() - t0
     return {
         "final": final,
@@ -405,7 +398,6 @@ def reproduce_paper(band=THRESHOLD_BAND):
             "before": result.diagnostics[0].total_photons,
             "after": result.diagnostics[-1].total_photons,
         },
-        "pair_statuses": pairs,
         "elapsed_seconds": elapsed,
     }
 
@@ -431,7 +423,7 @@ def reproduce_paper_json(outcome):
         "photons": outcome["photons"],
         "report": report_to_dict(result.report),
     }
-    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    return _compact_json(doc)
 
 
 def reproduce_paper_text(outcome):
@@ -477,8 +469,8 @@ def reproduce_paper_text(outcome):
     lines.append("")
     lines.append(_render_text(result.report))
     entangled = sorted(
-        f"{i}-{j}" for (i, j), s in outcome["pair_statuses"].items()
-        if s == Status.ENTANGLED.value
+        "-".join(result.report.tags[k] for k in pair)
+        for pair, v in result.report.pairwise.items() if v.status is Status.ENTANGLED
     )
     lines.append(f"Entangled marginal pairs: {', '.join(entangled)}")
     lines.append(f"Elapsed: {outcome['elapsed_seconds'] * 1000.0:.1f} ms")

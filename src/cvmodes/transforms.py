@@ -173,7 +173,8 @@ class QPlateSpec:
 
     def __post_init__(self):
         two_q = 2.0 * self.q
-        if abs(two_q - round(two_q)) > 1e-12 or round(two_q) == 0:
+        if (not math.isfinite(two_q) or abs(two_q - round(two_q)) > 1e-12
+                or round(two_q) == 0):
             raise ValueError(f"2q must be a nonzero integer, got q={self.q}")
         object.__setattr__(self, "delta", float(self.delta) % (2.0 * math.pi))
 

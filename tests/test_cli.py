@@ -117,6 +117,21 @@ def test_overflowing_state_file_exits_with_one_error_line(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["validate", "analyze", "transform"])
+def test_deeply_nested_json_exits_with_one_error_line(
+        source_file, tmp_path, capsys, command):
+    # json.load raises RecursionError, not a decode error, on this text
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    argv = [command, str(deep)]
+    if command == "transform":
+        argv = [command, source_file, "--config", str(deep)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
 def test_transform_writes_final_state(source_file, distribution_cfg, tmp_path,
                                       capsys):
     out_path = tmp_path / "final.json"
@@ -243,6 +258,15 @@ def test_transform_config_number_that_is_not_a_number_exits_2(
     assert main(["transform", source_file, "--config", cfg.as_posix()]) == 2
     err = capsys.readouterr().err
     assert f"{field}: " in err and "is not a number" in err
+    assert "Traceback" not in err
+
+
+def test_transform_infinite_qplate_charge_exits_2(source_file, tmp_path, capsys):
+    cfg = tmp_path / "huge_q.json"  # json reads 1e400 as inf
+    cfg.write_text('{"steps": [{"op": "qplate", "q": 1e400, "delta": 1.0}]}')
+    assert main(["transform", source_file, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "steps[0]: qplate: 2q must be a nonzero integer" in err
     assert "Traceback" not in err
 
 

@@ -242,6 +242,7 @@ def test_transform_any_config_exits_cleanly(workdir, config):
 @example(command="validate", file=(".json", encode({
     **SOURCE_DOC, "cov": [[0.5, 0, 0, 0], [0, None, 0, 0], [0, 0, 0.5, 0],
                           [0, 0, 0, 0.5]]})), rescale=False)
+@example(command="analyze", file=(".json", b"[" * 100_000), rescale=False)
 def test_state_commands_on_any_file_exit_cleanly(workdir, command, file, rescale):
     suffix, content = file
     if content is None:

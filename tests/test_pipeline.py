@@ -31,7 +31,7 @@ from cvmodes.errors import (
     PhysicalityViolation,
     PipelineStepError,
 )
-from cvmodes.pipeline import PipelineConfig, reproduce_paper_json
+from cvmodes.pipeline import PipelineConfig, reproduce_paper_json, reproduce_paper_text
 
 EXP = StandardFormParams(0.72, 0.72, 0.51, -0.51)
 
@@ -442,6 +442,22 @@ def test_reproduce_run_comparisons_hold():
 def test_reproduce_run_is_hermetic_and_fast():
     outcome = reproduce_paper()
     assert outcome["elapsed_seconds"] < 1.0
+
+
+# sha256 of reproduce_paper_json and of the report's emit_report JSON
+REPRODUCE_JSON_SHA256 = "50dce929f014db8a87bb1ecaf9db86fcf22896448b78a4300131f812642b8a52"
+REPRODUCE_REPORT_JSON_SHA256 = (
+    "dd3f88833d891b5834be74175e98136e9fab0bb7007e950ba43a306beb5bf45a")
+
+
+def test_reproduce_outputs_keep_their_bytes():
+    outcome = reproduce_paper()
+    assert (hashlib.sha256(reproduce_paper_json(outcome)).hexdigest()
+            == REPRODUCE_JSON_SHA256)
+    report_json = emit_report(outcome["result"].report, "json")
+    assert hashlib.sha256(report_json).hexdigest() == REPRODUCE_REPORT_JSON_SHA256
+    lines = reproduce_paper_text(outcome).decode().splitlines()
+    assert lines[-2] == "Entangled marginal pairs: a1-b1, a1-b2, a2-b1, a2-b2"
 
 
 def test_reproduce_json_is_stable():

@@ -183,6 +183,12 @@ def test_qplate_spec_validation():
     assert QPlateSpec(0.5, 9.0).delta == pytest.approx(9.0 - 2 * np.pi)
 
 
+@pytest.mark.parametrize("q", [np.inf, -np.inf, np.nan])
+def test_qplate_spec_refuses_a_non_finite_charge(q):
+    with pytest.raises(ValueError, match="2q must be a nonzero integer"):
+        QPlateSpec(q, np.pi)
+
+
 def test_qplate_pairing_rule():
     state = prepared_state()
     pairs = qplate_pairing(QPlateSpec(0.5, np.pi / 2), state.register)
