@@ -14,7 +14,7 @@ concurrent workers.
 
 import operator
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -111,8 +111,12 @@ class ModeRegister:
         raise IndexOutOfRange(f"no mode tagged {tag!r} in register {self.tags}")
 
 
+@lru_cache(maxsize=64)
 def two_mode_register():
-    """Default register of a two-mode source: a[H,0] and b[V,0]."""
+    """Default register of a two-mode source: a[H,0] and b[V,0].
+
+    Built once: every call returns the same immutable register.
+    """
     return ModeRegister((ModeLabel("H", 0, "a"), ModeLabel("V", 0, "b")))
 
 
@@ -160,13 +164,17 @@ def _frozen_array(values, shape, what):
 class GaussianState:
     """Gaussian state: register, quadrature mean vector, covariance matrix.
 
-    Construction checks dimensions and finiteness only: non-numbers or a
-    wrong shape raise DimensionMismatch, a NaN or infinite entry raises
-    PhysicalityViolation.  Physicality and symmetry are checked by
-    :func:`validate` (and enforced by the constructors that promise
-    physical output), so that diagnostic code can still hold and inspect
-    invalid matrices.  That report is computed once, on first use, and
-    kept in :attr:`validity`; so are the photon total and purity.
+    Construction copies the arrays and checks dimensions and finiteness
+    only: non-numbers or a wrong shape raise DimensionMismatch, a NaN or
+    infinite entry raises PhysicalityViolation.  This gate is for outside
+    input and for computed arrays such as ``S cov S^T``; a state gathered
+    or padded from a checked state is built without it (``_trusted``).
+    Physicality and symmetry are checked by :func:`validate` (and enforced
+    by the constructors that promise physical output), so that diagnostic
+    code can still hold and inspect invalid matrices.  That report is
+    computed once, on first use, and kept in :attr:`validity`; so are the
+    photon total and purity.  ``run_pipeline`` fills both for its step
+    outputs in one pass (``_measure``).
     """
 
     register: ModeRegister
@@ -203,15 +211,19 @@ class GaussianState:
         )
 
 
-def _with_register(state, register):
-    """``state`` on an equally sized ``register``: no copy and no second check.
+def _trusted(register, mean, cov, kept=()):
+    """A state from arrays made from checked ones: no copy and no second gate.
 
-    The result shares the read-only ``mean`` and ``cov`` that already
-    passed the constructor's gate, and the kept :attr:`validity` report
-    and photon total and purity if ``state`` has them.
+    ``mean`` and ``cov`` must be finite arrays of the register's shape,
+    gathered from or padded around arrays that passed the constructor's
+    gate (padding is zeros and SHOT_NOISE only); they are marked read-only.
+    ``kept`` is the ``__dict__`` of a state on the same arrays, whose kept
+    :attr:`validity` report and photon total and purity the result shares.
     """
+    mean.flags.writeable = False
+    cov.flags.writeable = False
     out = object.__new__(GaussianState)
-    out.__dict__.update(state.__dict__, register=register)
+    out.__dict__.update(kept, register=register, mean=mean, cov=cov)
     return out
 
 
@@ -240,26 +252,35 @@ def _report(asym, min_eig):
 
 
 def _measure(states):
-    """Give every state without a kept validity report its report.
+    """Give every state without a kept validity report its report and facts.
 
-    One stacked asymmetry max and one :func:`min_heisenberg_eigenvalue`
-    call per register size.  If a stack's floor raises NumericalFailure,
-    its states are left alone: each computes, and raises, its own report
-    when asked.
+    One stacked asymmetry max, one :func:`min_heisenberg_eigenvalue` call
+    and one ``slogdet`` per register size; each state's photon total and
+    purity (``_facts``) are those of :func:`total_photon_number` and
+    :func:`purity` on it alone, bit for bit.  A state whose determinant is
+    not positive keeps no facts, and if a stack's floor raises
+    NumericalFailure its states are left alone: each computes, and raises,
+    its own report and facts when asked.
     """
     groups = {}
     for state in states:
         if "validity" not in state.__dict__:
             groups.setdefault(state.n_modes, []).append(state)
-    for group in groups.values():
+    for n, group in groups.items():
         covs = np.stack([state.cov for state in group])
         try:
             floors = min_heisenberg_eigenvalue(covs)
         except NumericalFailure:
             continue
         asyms = np.abs(covs - np.swapaxes(covs, -1, -2)).max(axis=(-2, -1))
-        for state, asym, floor in zip(group, asyms.tolist(), floors.tolist()):
+        signs, logdets = np.linalg.slogdet(covs)
+        for state, asym, floor, sign, logdet in zip(
+                group, asyms.tolist(), floors.tolist(), signs.tolist(),
+                logdets.tolist()):
             state.__dict__["validity"] = _report(asym, floor)
+            if sign > 0:
+                state.__dict__["_facts"] = (total_photon_number(state),
+                                            _purity(n, logdet))
 
 
 def vacuum_state(register):
@@ -403,13 +424,19 @@ def _check_subset(subset, n):
     return subset
 
 
+@lru_cache(maxsize=64)
+def _selection(register, modes):
+    """Register, quadrature indices and gather block of ``register`` on ``modes``."""
+    quadratures = np.array(_quadrature_indices(modes))
+    quadratures.flags.writeable = False
+    return (ModeRegister(tuple(register[k] for k in modes)), quadratures,
+            _gather(len(register), [modes])[0])
+
+
 def _select(state, modes):
     # the state on ``modes``, in the order given
-    return GaussianState(
-        ModeRegister(tuple(state.register[k] for k in modes)),
-        state.mean[_quadrature_indices(modes)],
-        state.cov.take(_gather(state.n_modes, [modes])[0]),
-    )
+    register, quadratures, block = _selection(state.register, tuple(modes))
+    return _trusted(register, state.mean.take(quadratures), state.cov.take(block))
 
 
 def reduce(state, subset):
@@ -460,5 +487,9 @@ def purity(state):
         raise NonPositiveDeterminant(
             f"det(cov) is not positive (sign {sign}); matrix is unphysical"
         )
-    n = state.n_modes
+    return _purity(state.n_modes, logdet)
+
+
+def _purity(n, logdet):
+    # the purity of n modes whose covariance has log-determinant ``logdet``
     return float(np.exp(-(n * np.log(2.0) + 0.5 * logdet)))

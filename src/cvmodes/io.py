@@ -140,7 +140,7 @@ def state_from_dict(data, require_physical=True, rescale=False, where="state"):
             f"reads {ORDERING!r} files only"
         )
 
-    register = _parse_register(_require(data, "register", where))
+    register = _parse_register(_require(data, "register", where), f"{where}.register")
     state = _state(register, _numbers(_require(data, "mean", where), "mean", where),
                    _numbers(_require(data, "cov", where), "cov", where), where)
 

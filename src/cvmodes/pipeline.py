@@ -170,8 +170,8 @@ def run_pipeline(config, state=None, band=THRESHOLD_BAND):
     identical results.
 
     The step outputs are measured in one pass after the steps, with one
-    stacked Heisenberg floor per register size; the earliest failing
-    index is still the one raised.
+    stacked Heisenberg floor and one stacked determinant per register
+    size; the earliest failing index is still the one raised.
     """
     try:
         if state is None:

@@ -25,7 +25,7 @@ from .core import (
     ModeLabel,
     ModeRegister,
     StandardFormParams,
-    _with_register,
+    _trusted,
     make_standard_form,
     symplectic_form,
 )
@@ -120,16 +120,27 @@ def quarter_waveplate_relabel(state):
     matrix and kept validity report.  Raises BadPolarization if any mode
     is already circular.
     """
+    register = _circular_register(state.register)
+    return _trusted(register, state.mean, state.cov, state.__dict__)
+
+
+@lru_cache(maxsize=64)
+def _circular_register(register):
+    """``register`` with H -> L and V -> R, built once per register.
+
+    A circular mode raises BadPolarization, again on every call, since
+    exceptions are not cached.
+    """
     mapping = {"H": "L", "V": "R"}
     new = []
-    for m in state.register:
+    for m in register:
         if m.polarization not in mapping:
             raise BadPolarization(
                 f"mode {m} is not linearly polarized; waveplate relabel "
                 "expects H/V modes"
             )
         new.append(ModeLabel(mapping[m.polarization], m.oam, m.tag))
-    return _with_register(state, ModeRegister(tuple(new)))
+    return ModeRegister(tuple(new))
 
 
 def embed_with_vacua(state, vacuum_labels):
@@ -143,6 +154,7 @@ def embed_with_vacua(state, vacuum_labels):
     vacuum_labels = tuple(vacuum_labels)
     if not vacuum_labels:
         return state
+    register = _extended_register(state.register, vacuum_labels)
     n_old = state.n_modes
     n_add = len(vacuum_labels)
     n = n_old + n_add
@@ -150,8 +162,16 @@ def embed_with_vacua(state, vacuum_labels):
     cov[: 2 * n_old, : 2 * n_old] = state.cov
     cov[2 * n_old:, 2 * n_old:] = SHOT_NOISE * np.eye(2 * n_add)
     mean = np.concatenate([state.mean, np.zeros(2 * n_add)])
-    register = ModeRegister(tuple(state.register) + vacuum_labels)
-    return GaussianState(register, mean, cov)
+    return _trusted(register, mean, cov)
+
+
+@lru_cache(maxsize=64)
+def _extended_register(register, labels):
+    """``register`` with ``labels`` appended, built once per pair.
+
+    A repeated label raises DuplicateLabel, again on every call.
+    """
+    return ModeRegister(register.modes + labels)
 
 
 # ---------------------------------------------------------------------------

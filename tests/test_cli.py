@@ -117,6 +117,16 @@ def test_overflowing_state_file_exits_with_one_error_line(
     assert "Traceback" not in err
 
 
+def test_bad_register_tag_error_starts_with_the_path(tmp_path, capsys):
+    doc = state_to_dict(make_standard_form(EXP))
+    doc["register"][1]["tag"] = ["x"]
+    path = tmp_path / "tag.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}.register[1]: ") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("command", ["validate", "analyze", "transform"])
 def test_deeply_nested_json_exits_with_one_error_line(
         source_file, tmp_path, capsys, command):

@@ -481,6 +481,53 @@ def test_measure_fills_the_reports_a_lazy_validity_would_give(monkeypatch):
         (False, False), (True, True), (True, False)]
 
 
+def test_measure_fills_the_facts_each_state_gives_alone():
+    rng = np.random.default_rng(23)
+    states = []
+    for n in (1, 2, 4, 8):
+        register = ModeRegister(tuple(ModeLabel("H", k, f"m{k}") for k in range(n)))
+        for cov in random_covs(rng, n, 25):
+            states.append(GaussianState(register, rng.normal(size=2 * n) * 3.0, cov))
+    core._measure(states)
+    for state in states:
+        alone = GaussianState(state.register, state.mean, state.cov)
+        # repr, so that equal means equal bits
+        assert repr(state.__dict__["_facts"]) == repr(
+            (total_photon_number(alone), purity(alone)))
+
+
+def test_measure_leaves_a_non_positive_determinant_to_its_own_state():
+    covs = random_covs(np.random.default_rng(29), 2, 3)
+    covs[1] = np.diag([0.5, 0.5, 0.5, -0.5])
+    states = [GaussianState(circular_register(2), np.zeros(4), cov) for cov in covs]
+    core._measure(states)
+    assert all("validity" in state.__dict__ for state in states)
+    assert "_facts" not in states[1].__dict__
+    for state in states[::2]:
+        alone = GaussianState(state.register, state.mean, state.cov)
+        assert repr(state._facts) == repr((total_photon_number(alone), purity(alone)))
+    with pytest.raises(NonPositiveDeterminant):
+        states[1]._facts
+
+
+@pytest.mark.parametrize("select, modes, kept", [
+    (reorder, [2, 0, 1], [2, 0, 1]),
+    (reduce, [2, 0], [0, 2]),
+])
+def test_gathered_states_are_read_only_copies(select, modes, kept):
+    state = random_state(np.random.default_rng(31))
+    out = select(state, modes)
+    quadratures = [q for k in kept for q in (2 * k, 2 * k + 1)]
+    assert out == GaussianState(ModeRegister(tuple(state.register[k] for k in kept)),
+                                state.mean[quadratures],
+                                state.cov[np.ix_(quadratures, quadratures)])
+    for arr, source in ((out.mean, state.mean), (out.cov, state.cov)):
+        assert not arr.flags.writeable
+        assert not np.shares_memory(arr, source)
+    # the layout is built once per register and mode list
+    assert select(state, modes).register is out.register
+
+
 def test_photon_numbers_keep_the_bits_of_the_array_expression():
     rng = np.random.default_rng(17)
     for n in (1, 2, 4, 8):

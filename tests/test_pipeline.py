@@ -162,14 +162,15 @@ def test_relabel_step_keeps_its_input_facts(monkeypatch):
     calls = []
     for name in ("purity", "total_photon_number"):
         fact = getattr(core, name)
-        monkeypatch.setattr(core, name,
-                            lambda state, f=fact: calls.append(state) or f(state))
+        monkeypatch.setattr(core, name, lambda state, f=fact, name=name:
+                            calls.append(name) or f(state))
     result = run_pipeline(distribution_config(source=EXP_SOURCE))
     source, waveplate = result.diagnostics[:2]
     assert (waveplate.total_photons, waveplate.purity, waveplate.validity) == (
         source.total_photons, source.purity, source.validity)
-    # two facts for each of the four states with their own arrays
-    assert len(calls) == 8
+    # a photon total for each of the four states with their own arrays; the
+    # source's purity, while the step outputs take theirs from one stack
+    assert sorted(calls) == ["purity"] + ["total_photon_number"] * 4
 
 
 def test_diagnostics_error_comes_before_a_later_step_error(monkeypatch):
@@ -188,17 +189,37 @@ def test_diagnostics_error_comes_before_a_later_step_error(monkeypatch):
         run_pipeline(config)
     assert (err.value.step_index, err.value.step_name) == (3, "qplate")
 
-    purity = core.purity
+    slogdet = np.linalg.slogdet
 
-    def failing_purity(state):
-        if state.n_modes == 4:
-            raise NonPositiveDeterminant("embed output")
-        return purity(state)
+    def embed_output_not_positive(cov):
+        # the stacked and the single determinant of the four-mode embed
+        # output, 8x8, both with the wrong sign
+        sign, logdet = slogdet(cov)
+        return (-sign if cov.shape[-1] == 8 else sign), logdet
 
-    monkeypatch.setattr(core, "purity", failing_purity)
+    monkeypatch.setattr(np.linalg, "slogdet", embed_output_not_positive)
     with pytest.raises(PipelineStepError) as err:
         run_pipeline(config)
     assert (err.value.step_index, err.value.step_name) == (2, "embed")
+    assert isinstance(err.value.cause, NonPositiveDeterminant)
+
+
+def test_non_positive_determinant_in_the_stack_raises_at_its_own_step(monkeypatch):
+    config = distribution_config(source=EXP_SOURCE)
+    reordered = run_pipeline(PipelineConfig(
+        config.source, config.steps[:3], ())).final_state.cov
+    slogdet = np.linalg.slogdet
+
+    def reorder_output_not_positive(cov):
+        # the wrong sign for the reorder output, in the stack and alone
+        sign, logdet = slogdet(cov)
+        hit = cov.shape[-1] == 8 and (cov == reordered).all(axis=(-2, -1))
+        return np.where(hit, -sign, sign), logdet
+
+    monkeypatch.setattr(np.linalg, "slogdet", reorder_output_not_positive)
+    with pytest.raises(PipelineStepError) as err:
+        run_pipeline(config)
+    assert (err.value.step_index, err.value.step_name) == (3, "reorder")
     assert isinstance(err.value.cause, NonPositiveDeterminant)
 
 

@@ -28,12 +28,13 @@ from cvmodes import (
     vacuum_state,
     validate,
 )
-from cvmodes import transforms
+from cvmodes import core, transforms
 from cvmodes.transforms import SymplecticTransform
 from cvmodes.errors import (
     BadPolarization,
     DuplicateLabel,
     NonSymplectic,
+    NotAPermutation,
     NotCircular,
     RegisterMismatch,
     UnpairedMode,
@@ -171,6 +172,44 @@ def test_embed_rejects_duplicate_labels():
     state = quarter_waveplate_relabel(make_standard_form(EXP))
     with pytest.raises(DuplicateLabel):
         embed_with_vacua(state, (ModeLabel("L", 0, "a"),))
+
+
+def test_embed_output_is_a_read_only_copy():
+    state = quarter_waveplate_relabel(GaussianState(
+        two_mode_register(), [0.1, -0.2, 0.3, 0.4], standard_form_matrix(EXP)))
+    out = embed_with_vacua(state, (VAC_A, VAC_B))
+    cov = np.zeros((8, 8))
+    cov[:4, :4] = state.cov
+    cov[4:, 4:] = 0.5 * np.eye(4)
+    assert out == GaussianState(ModeRegister(state.register.modes + (VAC_A, VAC_B)),
+                                np.concatenate([state.mean, np.zeros(4)]), cov)
+    for arr, source in ((out.mean, state.mean), (out.cov, state.cov)):
+        assert not arr.flags.writeable
+        assert not np.shares_memory(arr, source)
+    # the register is built once per input register and labels
+    assert embed_with_vacua(state, (VAC_A, VAC_B)).register is out.register
+
+
+def test_layout_caches_are_bounded():
+    for cached in (core.two_mode_register, core._selection,
+                   transforms._circular_register, transforms._extended_register,
+                   transforms._qplate_layout):
+        assert cached.cache_info().maxsize == 64
+    assert two_mode_register() is two_mode_register()
+    state = make_standard_form(EXP)
+    assert (quarter_waveplate_relabel(state).register
+            is quarter_waveplate_relabel(state).register)
+
+
+def test_layout_errors_raise_on_every_call():
+    circular = quarter_waveplate_relabel(make_standard_form(EXP))
+    for _ in range(2):
+        with pytest.raises(BadPolarization):
+            quarter_waveplate_relabel(circular)
+        with pytest.raises(DuplicateLabel):
+            embed_with_vacua(circular, (ModeLabel("L", 0, "a"),))
+        with pytest.raises(NotAPermutation):
+            reorder(circular, [0, 0])
 
 
 # -- q-plate ------------------------------------------------------------------
