@@ -9,8 +9,14 @@
 * ``sigma4_printed``: the same matrix as published with two-decimal
   entries; carries a ``typo_cells`` annotation for the one cell that
   breaks symmetry (the closed form forces 0 there).
+
+The files are package data, so each is read and decoded once per
+process.  Every loader call still returns fresh objects: a new state, a
+new writable matrix and annotations that share nothing with the decoded
+file, so a caller that changes them changes no later load.
 """
 
+from functools import cache
 from importlib import resources
 
 import numpy as np
@@ -24,8 +30,23 @@ MATRIX_FIXTURES = ("sigma4_exact", "sigma4_printed")
 _DIRECTORY = resources.files(__package__)
 
 
+@cache
 def _read(name):
+    """The decoded file; shared by every caller, so nothing may write to it."""
     return read_json(_DIRECTORY.joinpath(f"{name}.json"))
+
+
+def _fresh(value):
+    """A copy of decoded JSON that shares no list or dict with ``value``.
+
+    About a third of the cost of ``copy.deepcopy``, which keeps a memo
+    that plain JSON values never need.
+    """
+    if isinstance(value, list):
+        return [_fresh(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _fresh(item) for key, item in value.items()}
+    return value
 
 
 def load_state_fixture(name):
@@ -45,5 +66,5 @@ def load_matrix_fixture(name):
         )
     data = _read(name)
     matrix = np.array(data["cov"], dtype=float)
-    meta = {k: v for k, v in data.items() if k != "cov"}
+    meta = {k: _fresh(v) for k, v in data.items() if k != "cov"}
     return matrix, meta

@@ -351,10 +351,12 @@ def emit_report(report, format="text"):
 def reproduce_paper(band=THRESHOLD_BAND):
     """Run the bundled source matrix through the distribution pipeline.
 
-    Hermetic: fixture inputs only.  Returns a dict with the final
-    covariance, per-step diagnostics, comparisons against the exact
-    closed form and the published two-decimal matrix (the annotated typo
-    cell is excluded there and reported separately), and the verdict set.
+    Hermetic: fixture inputs only.  The fixture files are package data,
+    read once per process; each call still gets fresh objects from the
+    loaders.  Returns a dict with the final covariance, per-step
+    diagnostics, comparisons against the exact closed form and the
+    published two-decimal matrix (the annotated typo cell is excluded
+    there and reported separately), and the verdict set.
     """
     t0 = time.perf_counter()
     source = fixtures.load_state_fixture("sigma2_exp")

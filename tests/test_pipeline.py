@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 import re
@@ -23,7 +24,7 @@ from cvmodes import (
     sigma4_closed_form,
     validate,
 )
-from cvmodes import core
+from cvmodes import core, fixtures
 from cvmodes.errors import (
     NonPositiveDeterminant,
     NumericalFailure,
@@ -485,3 +486,44 @@ def test_reproduce_json_is_stable():
     one = reproduce_paper_json(reproduce_paper())
     two = reproduce_paper_json(reproduce_paper())
     assert one == two
+
+
+@pytest.fixture
+def fresh_fixture_cache():
+    """The fixture reader's cache, empty at the start and the end of a test."""
+    fixtures._read.cache_clear()
+    yield
+    fixtures._read.cache_clear()
+
+
+def test_fixture_files_are_decoded_once_per_process(fresh_fixture_cache):
+    # the benchmark's tracer wraps plain functions only
+    assert inspect.isfunction(fixtures.load_state_fixture)
+    assert inspect.isfunction(fixtures.load_matrix_fixture)
+    cold = reproduce_paper_json(reproduce_paper())
+    warm = [reproduce_paper_json(reproduce_paper()) for _ in range(2)]
+    assert fixtures._read.cache_info().misses == 3
+    for output in (cold, *warm):
+        assert hashlib.sha256(output).hexdigest() == REPRODUCE_JSON_SHA256
+
+
+def test_unknown_fixture_name_never_reaches_the_reader(fresh_fixture_cache):
+    for _ in range(2):
+        for load in (fixtures.load_state_fixture, fixtures.load_matrix_fixture):
+            with pytest.raises(ParseError):
+                load("nope")
+    info = fixtures._read.cache_info()
+    assert info.hits == info.misses == 0
+
+
+def test_changing_a_loaded_matrix_fixture_changes_no_later_load(fresh_fixture_cache):
+    matrix, meta = fixtures.load_matrix_fixture("sigma4_printed")
+    expected_matrix, expected_meta = matrix.copy(), json.dumps(meta, sort_keys=True)
+    matrix[3, 2] = 7.0
+    meta["typo_cells"].append([0, 0])
+    meta["register"][0]["tag"] = "changed"
+    again, again_meta = fixtures.load_matrix_fixture("sigma4_printed")
+    assert np.array_equal(again, expected_matrix)
+    assert json.dumps(again_meta, sort_keys=True) == expected_meta
+    assert (hashlib.sha256(reproduce_paper_json(reproduce_paper())).hexdigest()
+            == REPRODUCE_JSON_SHA256)
