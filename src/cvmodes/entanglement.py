@@ -345,10 +345,10 @@ def iterative_separability(state, bipartition, band=THRESHOLD_BAND):
     certificate after DEFAULT_MAX_ITER rounds is Inconclusive, with that
     iteration count.
 
-    The status does not depend on which side is A: ``Bipartition(a, b)``
-    and ``Bipartition(b, a)`` get the same one.  The iteration count can,
-    since each round sets B <- A, so the two orders may certify in a
-    different number of rounds.
+    Away from the threshold band, ``Bipartition(a, b)`` and
+    ``Bipartition(b, a)`` get the same status.  Their iteration counts
+    can differ, since each round sets B <- A; so a split that needs close
+    to DEFAULT_MAX_ITER rounds may end Inconclusive in one order only.
 
     The verdict carries the partial-transpose witness and log-negativity
     as diagnostics; agreement with :func:`ppt_verdict` wherever that one

@@ -507,15 +507,6 @@ def test_fixture_files_are_decoded_once_per_process(fresh_fixture_cache):
         assert hashlib.sha256(output).hexdigest() == REPRODUCE_JSON_SHA256
 
 
-def test_unknown_fixture_name_never_reaches_the_reader(fresh_fixture_cache):
-    for _ in range(2):
-        for load in (fixtures.load_state_fixture, fixtures.load_matrix_fixture):
-            with pytest.raises(ParseError):
-                load("nope")
-    info = fixtures._read.cache_info()
-    assert info.hits == info.misses == 0
-
-
 def test_changing_a_loaded_matrix_fixture_changes_no_later_load(fresh_fixture_cache):
     matrix, meta = fixtures.load_matrix_fixture("sigma4_printed")
     expected_matrix, expected_meta = matrix.copy(), json.dumps(meta, sort_keys=True)
