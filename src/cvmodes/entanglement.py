@@ -46,6 +46,9 @@ DEFAULT_MAX_ITER = 1000
 DEFAULT_ITER_TOL = 1e-10
 """Stopping tolerance on the correlation-block norm of the iteration."""
 
+_G_RATIO = 1e-6
+"""Least lambda_min / lambda_max of G = 2 cov - i J for round 1 from inv(G)."""
+
 
 class Status(str, enum.Enum):
     ENTANGLED = "entangled"
@@ -109,9 +112,12 @@ class EntanglementReport:
     bipartitions: tuple
 
     def pair(self, i, j):
+        i, j = _mode_indices((i, j))
         if i == j:
             raise IndexOutOfRange("pairwise table has no diagonal")
         key = (min(i, j), max(i, j))
+        if key not in self.pairwise:
+            raise IndexOutOfRange(f"pairwise table has no pair {key}")
         return self.pairwise[key]
 
 
@@ -227,7 +233,9 @@ def _decide(cov, table, band, escalate):
     into Status: 0 entangled, 1 separable, 2 inconclusive.  The splits of
     one matrix whose partial-transpose code is at least ``escalate`` (0:
     all, 2: the open ones, 3: none) go on to one :func:`_gklc` call per
-    side-A size.
+    side-A size.  A split escalates only on one matrix ``cov``, whose
+    :func:`_g_inverse` is then taken once; its side-A blocks start each
+    call.
     """
     _check_band(band)
     _check_positive_definite(cov)
@@ -240,8 +248,10 @@ def _decide(cov, table, band, escalate):
     for k, code in enumerate(codes):
         if code >= escalate:
             groups.setdefault(int(size_a[k]), []).append(k)
+    g_inv = _g_inverse(cov) if groups else None
     for m, group in groups.items():
-        for k, decided in zip(group, _gklc(2.0 * cov.take(order[group]), m, band)):
+        g_inv_a = None if g_inv is None else g_inv.take(order[group, : 2 * m, : 2 * m])
+        for k, decided in zip(group, _gklc(2.0 * cov.take(order[group]), m, band, g_inv_a)):
             codes[k], iterations[k] = decided
     statuses = list(Status)
     return [
@@ -270,14 +280,17 @@ def ppt_verdict(state, bipartition, band=THRESHOLD_BAND):
 # iterative criterion
 # ---------------------------------------------------------------------------
 
-def _gklc(gamma, m, band):
+def _gklc(gamma, m, band, g_inv_a=None):
     """GKLC recursion on a stack (k, 2n, 2n) of gamma = 2 cov matrices.
 
     The first ``m`` modes of every slice form side A.  Returns one
     (status code, iterations) pair per slice, equal to running the
-    recursion on each slice alone: every round makes one stacked Hermitian
-    eigen-call, of B + i J_B, and one stacked SVD over the slices still
-    without a certificate (round 1 also takes the floor of A).
+    recursion on each slice alone: every round makes one stacked SVD and
+    one stacked Hermitian eigen-call, of B + i J_B, over the slices still
+    without a certificate (round 1 also takes the floor of A).  Given
+    ``g_inv_a``, the side-A blocks of :func:`_g_inverse`, round 1 takes X
+    from one stacked inverse instead, and B's floor only where A's could
+    certify Separable (see :func:`iterative_separability`).
     DEFAULT_MAX_ITER and DEFAULT_ITER_TOL are read at call time.
     """
     a_blk = gamma[:, : 2 * m, : 2 * m]
@@ -290,13 +303,21 @@ def _gklc(gamma, m, band):
 
     live = list(range(len(gamma)))
     out = [(2, DEFAULT_MAX_ITER)] * len(live)
-    min_a = _heisenberg_floor(a_blk)
+    floor = _heisenberg_floor(a_blk)
     for it in range(1, DEFAULT_MAX_ITER + 1):
-        # B's spectrum gives its floor and the pseudo-inverse below; from
-        # round 2 on B is A, so it gives A's floor as well
-        w, v = np.linalg.eigh(b_blk + ij_b)
         norm_c = np.linalg.svd(c_blk, compute_uv=False)[:, 0]
-        floor = np.minimum(min_a, w[:, 0]) if it == 1 else w[:, 0]
+        if g_inv_a is None:
+            # from round 2 on B is A, so B's floor is A's floor as well
+            w, v = np.linalg.eigh(b_blk + ij_b)
+            floor = np.minimum(floor, w[:, 0]) if it == 1 else w[:, 0]
+        else:
+            # G > 0, so no floor is negative, and B's floor matters only
+            # where A's could certify Separable; eigh, as on the other
+            # route, gives it the same bits
+            need = (floor >= norm_c - 1e-12) | (norm_c <= DEFAULT_ITER_TOL)
+            if need.any():
+                floor[need] = np.minimum(
+                    floor[need], np.linalg.eigh(b_blk[need] + ij_b)[0][:, 0])
         keep = []
         for j, (f, c) in enumerate(zip(floor.tolist(), norm_c.tolist())):
             if f < -ent_eps:
@@ -307,21 +328,45 @@ def _gklc(gamma, m, band):
                 keep.append(j)
         if not keep:
             break
-        if len(keep) < len(live):
-            live = [live[j] for j in keep]
-            a_blk, c_blk, w, v = a_blk[keep], c_blk[keep], w[keep], v[keep]
-        # X = C (B - i J_B)^+ C^T with B - i J_B = conj(V) diag(w) V^T; 1/w
-        # is dropped where |w| <= 1e-15 max|w|, the cutoff of numpy's pinv
-        y = c_blk @ v.conj()
-        mag = np.abs(w)
-        large = mag > 1e-15 * mag.max(axis=-1, keepdims=True)
-        inv_w = np.divide(1.0, w, out=np.zeros(w.shape), where=large)
-        x = (y * inv_w[:, None, :]) @ y.conj().transpose(0, 2, 1)
-        a_blk = a_blk - x.real
+        if g_inv_a is not None:
+            s = np.linalg.inv(g_inv_a[keep])
+            a_blk = s.real
+            c_blk = s.imag + ij_a.imag
+            g_inv_a = None
+        else:
+            if len(keep) < len(live):
+                a_blk, c_blk, w, v = a_blk[keep], c_blk[keep], w[keep], v[keep]
+            # X = C (B - i J_B)^+ C^T with B - i J_B = conj(V) diag(w) V^T;
+            # 1/w is dropped where |w| <= 1e-15 max|w|, the cutoff of
+            # numpy's pinv
+            y = c_blk @ v.conj()
+            mag = np.abs(w)
+            large = mag > 1e-15 * mag.max(axis=-1, keepdims=True)
+            inv_w = np.divide(1.0, w, out=np.zeros(w.shape), where=large)
+            x = (y * inv_w[:, None, :]) @ y.conj().transpose(0, 2, 1)
+            a_blk = a_blk - x.real
+            c_blk = -x.imag
+        live = [live[j] for j in keep]
         b_blk = a_blk
-        c_blk = -x.imag
         ij_b = ij_a
     return out
+
+
+def _g_inverse(cov):
+    """inv(2 cov - i J) if its spectrum has lambda_min > _G_RATIO lambda_max, else None.
+
+    Such a G is safely positive definite, and so is every principal
+    block of it and of its inverse (Cauchy interlacing), with a
+    condition number below 1 / _G_RATIO.  A vacuum or pure mode makes G
+    singular, and an unphysical matrix makes it indefinite.  A Cholesky
+    factor alone is no such test: it exists for near-pure states whose
+    inverse blocks are singular in float64.
+    """
+    g = 2.0 * cov - _i_symplectic_form(cov.shape[-1] // 2)
+    spectrum = np.linalg.eigvalsh(g)
+    if spectrum[0] <= _G_RATIO * spectrum[-1]:
+        return None
+    return np.linalg.inv(g)
 
 
 def iterative_separability(state, bipartition, band=THRESHOLD_BAND):
@@ -344,6 +389,16 @@ def iterative_separability(state, bipartition, band=THRESHOLD_BAND):
     On the first round both marginal blocks are tested.  A split with no
     certificate after DEFAULT_MAX_ITER rounds is Inconclusive, with that
     iteration count.
+
+    Round 1 takes one of two routes, equal up to roundoff.  When
+    G = gamma - i J has lambda_min(G) > 1e-6 lambda_max(G) (one eigvalsh
+    per state), the Schur complement gives A - i J_A - X = inv(inv(G)_AA),
+    so one inverse of G and one of its side-A block replace the
+    eigen-call on B - i J_B.  G > 0 then keeps both floors above zero,
+    so round 1 cannot certify Entangled, and B's floor is taken only when
+    A's could certify Separable.  Any other state (a vacuum or pure mode,
+    G near singular) takes the pseudo-inverse of B - i J_B.  Rounds 2 on
+    are the same for both.
 
     Away from the threshold band, ``Bipartition(a, b)`` and
     ``Bipartition(b, a)`` get the same status.  Their iteration counts

@@ -579,11 +579,16 @@ def test_iterative_pair_verdict_pattern():
         assert verdict.status is want, (i, j)
 
 
-def test_stacked_gklc_equals_split_by_split_reference(monkeypatch):
+@pytest.mark.parametrize("first_round", ["inverse", "eigen"])
+def test_stacked_gklc_equals_split_by_split_reference(monkeypatch, first_round):
     # every split goes through iterative_separability (a stack of one);
     # the scan stacks its escalated splits, and stacks whose splits finish
     # at different rounds exercise the shrinking live set.  A budget of 2
-    # leaves some splits Inconclusive.
+    # leaves some splits Inconclusive.  The mixed states take round 1
+    # from inv(2 cov - i J) unless the gate is shut, which forces the
+    # eigen-call route on every state
+    if first_round == "eigen":
+        monkeypatch.setattr(entanglement, "_g_inverse", lambda cov: None)
     states = [*random_mixed_states(49), distributed_state(),
               vacuum_state(circular_register(4))]
     mixed_rounds = 0
@@ -636,6 +641,56 @@ def test_gklc_pseudo_inverse_of_a_singular_block_equals_reference():
                 assert (verdict.status.value, verdict.iterations) == expected, split
                 singular_rounds += vacuum in split.side_b and verdict.iterations > 1
     assert singular_rounds > 100
+
+
+def test_round_one_comes_from_the_inverse_only_for_a_well_conditioned_g(monkeypatch):
+    # one gate call per state, and only when some split escalates; a
+    # vacuum mode makes 2 cov - i J singular, so those states keep the
+    # eigen-call route, and seeded mixed states take the inverse
+    calls = []
+    gate = entanglement._g_inverse
+
+    def spy(cov):
+        g_inv = gate(cov)
+        calls.append(g_inv is not None)
+        return g_inv
+
+    monkeypatch.setattr(entanglement, "_g_inverse", spy)
+    rng = np.random.default_rng(51)
+    vacuum_states = [with_vacuum(rng, n)[0] for n in (4, 5, 6) for _ in range(4)]
+    for states, route in ((vacuum_states, False), (random_mixed_states(52), True)):
+        for state in states:
+            calls.clear()
+            escalated = any(v.method is Method.ITERATIVE
+                            for _, v in bipartition_scan(state))
+            assert calls == ([route] if escalated else []), state.n_modes
+            calls.clear()
+            iterative_separability(state, Bipartition((0,), range(1, state.n_modes)))
+            assert calls == [route]
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_iterative_verdicts_do_not_depend_on_where_each_side_sits(n):
+    # each escalated split is decided again on a reordering of the modes
+    # that keeps the order within each side, so the recursion sees the
+    # same blocks: status and iteration count must not change
+    rng = np.random.default_rng(53)
+    checked = 0
+    for state in random_mixed_states(54, sizes=(n,), per_size=8):
+        for split, verdict in bipartition_scan(state):
+            if verdict.method is not Method.ITERATIVE:
+                continue
+            slots = rng.permutation(n)
+            new_a = sorted(slots[: len(split.side_a)].tolist())
+            new_b = sorted(slots[len(split.side_a):].tolist())
+            perm = [0] * n
+            for slot, k in zip(new_a + new_b, split.side_a + split.side_b):
+                perm[slot] = k
+            moved = iterative_separability(reorder(state, perm), Bipartition(new_a, new_b))
+            assert (moved.status, moved.iterations) == (
+                verdict.status, verdict.iterations), split
+            checked += 1
+    assert checked > 20
 
 
 SCAN_ROWS_SHA256 = "4b017d4237e485ab8d2b1a8a4489bcecf02b7680852f98071f1062a42256a172"
@@ -725,8 +780,11 @@ def test_pairwise_map_distributed_pattern():
     }
     # symmetric accessor
     assert report.pair(3, 0).status is Status.ENTANGLED
-    with pytest.raises(IndexOutOfRange):
-        report.pair(1, 1)
+    assert report.pair(np.int64(3), 0) is report.pair(0, 3)
+    # the diagonal, pairs outside the map and indices that are not ints
+    for i, j in [(1, 1), (0, 9), (-1, 2), (1.0, 2), (True, 2), ("1", 2)]:
+        with pytest.raises(IndexOutOfRange):
+            report.pair(i, j)
 
 
 def test_pairwise_map_vacuum_all_separable():
