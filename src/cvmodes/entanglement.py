@@ -49,6 +49,11 @@ DEFAULT_ITER_TOL = 1e-10
 _G_RATIO = 1e-6
 """Least lambda_min / lambda_max of G = 2 cov - i J for round 1 from inv(G)."""
 
+_INVERSE_MIN_B_MODES = 12
+"""Least side-B modes, summed over the escalated splits of one matrix, for
+round 1 from inv(G): below it one eigen-call per split costs less than the
+inverses of G."""
+
 
 class Status(str, enum.Enum):
     ENTANGLED = "entangled"
@@ -233,9 +238,10 @@ def _decide(cov, table, band, escalate):
     into Status: 0 entangled, 1 separable, 2 inconclusive.  The splits of
     one matrix whose partial-transpose code is at least ``escalate`` (0:
     all, 2: the open ones, 3: none) go on to one :func:`_gklc` call per
-    side-A size.  A split escalates only on one matrix ``cov``, whose
-    :func:`_g_inverse` is then taken once; its side-A blocks start each
-    call.
+    side-A size.  A split escalates only on one matrix ``cov``; when its
+    escalated splits hold at least _INVERSE_MIN_B_MODES side-B modes in
+    all, its :func:`_g_inverse` is taken once, and the side-A blocks of
+    that inverse start each call.
     """
     _check_band(band)
     _check_positive_definite(cov)
@@ -248,7 +254,9 @@ def _decide(cov, table, band, escalate):
     for k, code in enumerate(codes):
         if code >= escalate:
             groups.setdefault(int(size_a[k]), []).append(k)
-    g_inv = _g_inverse(cov) if groups else None
+    n = cov.shape[-1] // 2
+    b_modes = sum((n - m) * len(group) for m, group in groups.items())
+    g_inv = _g_inverse(cov) if b_modes >= _INVERSE_MIN_B_MODES else None
     for m, group in groups.items():
         g_inv_a = None if g_inv is None else g_inv.take(order[group, : 2 * m, : 2 * m])
         for k, decided in zip(group, _gklc(2.0 * cov.take(order[group]), m, band, g_inv_a)):
@@ -289,8 +297,8 @@ def _gklc(gamma, m, band, g_inv_a=None):
     one stacked Hermitian eigen-call, of B + i J_B, over the slices still
     without a certificate (round 1 also takes the floor of A).  Given
     ``g_inv_a``, the side-A blocks of :func:`_g_inverse`, round 1 takes X
-    from one stacked inverse instead, and B's floor only where A's could
-    certify Separable (see :func:`iterative_separability`).
+    from one stacked inverse instead, and B's floor only where A's passes
+    the norm test (see :func:`iterative_separability`).
     DEFAULT_MAX_ITER and DEFAULT_ITER_TOL are read at call time.
     """
     a_blk = gamma[:, : 2 * m, : 2 * m]
@@ -312,9 +320,9 @@ def _gklc(gamma, m, band, g_inv_a=None):
             floor = np.minimum(floor, w[:, 0]) if it == 1 else w[:, 0]
         else:
             # G > 0, so no floor is negative, and B's floor matters only
-            # where A's could certify Separable; eigh, as on the other
-            # route, gives it the same bits
-            need = (floor >= norm_c - 1e-12) | (norm_c <= DEFAULT_ITER_TOL)
+            # where A's passes the norm test; eigh, as on the other route,
+            # gives it the same bits
+            need = floor >= norm_c - 1e-12
             if need.any():
                 floor[need] = np.minimum(
                     floor[need], np.linalg.eigh(b_blk[need] + ij_b)[0][:, 0])
@@ -390,15 +398,18 @@ def iterative_separability(state, bipartition, band=THRESHOLD_BAND):
     certificate after DEFAULT_MAX_ITER rounds is Inconclusive, with that
     iteration count.
 
-    Round 1 takes one of two routes, equal up to roundoff.  When
-    G = gamma - i J has lambda_min(G) > 1e-6 lambda_max(G) (one eigvalsh
-    per state), the Schur complement gives A - i J_A - X = inv(inv(G)_AA),
-    so one inverse of G and one of its side-A block replace the
-    eigen-call on B - i J_B.  G > 0 then keeps both floors above zero,
-    so round 1 cannot certify Entangled, and B's floor is taken only when
-    A's could certify Separable.  Any other state (a vacuum or pure mode,
-    G near singular) takes the pseudo-inverse of B - i J_B.  Rounds 2 on
-    are the same for both.
+    Round 1 takes one of two routes, equal up to roundoff.  A state whose
+    escalated splits hold at least 12 side-B modes in all may start from
+    G = gamma - i J (a single split does so only from 13 modes on):
+    when lambda_min(G) > 1e-6 lambda_max(G) (one eigvalsh per state), the
+    Schur complement gives A - i J_A - X = inv(inv(G)_AA), so one
+    inverse of G and one stacked inverse of its side-A blocks replace
+    the eigen-calls on B - i J_B.  G > 0 then keeps both floors above
+    zero, so round 1 cannot certify Entangled, and B's floor is taken
+    only when A's passes the norm test min eig >= ||C||_2.  Every other
+    split (fewer side-B modes, a vacuum or pure mode, G near singular)
+    takes the pseudo-inverse of B - i J_B.  Rounds 2 on are the same
+    for both.
 
     Away from the threshold band, ``Bipartition(a, b)`` and
     ``Bipartition(b, a)`` get the same status.  Their iteration counts

@@ -584,10 +584,13 @@ def test_stacked_gklc_equals_split_by_split_reference(monkeypatch, first_round):
     # every split goes through iterative_separability (a stack of one);
     # the scan stacks its escalated splits, and stacks whose splits finish
     # at different rounds exercise the shrinking live set.  A budget of 2
-    # leaves some splits Inconclusive.  The mixed states take round 1
-    # from inv(2 cov - i J) unless the gate is shut, which forces the
-    # eigen-call route on every state
-    if first_round == "eigen":
+    # leaves some splits Inconclusive.  With no least side-B mode count,
+    # every escalating state whose 2 cov - i J is well conditioned takes
+    # round 1 from its inverse, single splits and 4-mode scans too; with
+    # the gate shut every state takes the eigen-call route
+    if first_round == "inverse":
+        monkeypatch.setattr(entanglement, "_INVERSE_MIN_B_MODES", 1)
+    else:
         monkeypatch.setattr(entanglement, "_g_inverse", lambda cov: None)
     states = [*random_mixed_states(49), distributed_state(),
               vacuum_state(circular_register(4))]
@@ -643,10 +646,12 @@ def test_gklc_pseudo_inverse_of_a_singular_block_equals_reference():
     assert singular_rounds > 100
 
 
-def test_round_one_comes_from_the_inverse_only_for_a_well_conditioned_g(monkeypatch):
-    # one gate call per state, and only when some split escalates; a
-    # vacuum mode makes 2 cov - i J singular, so those states keep the
-    # eigen-call route, and seeded mixed states take the inverse
+def test_round_one_comes_from_the_inverse_only_where_it_pays(monkeypatch):
+    # the gate runs once per state whose escalated splits hold at least
+    # _INVERSE_MIN_B_MODES side-B modes, and never otherwise: not for a
+    # 4-mode scan (three 2|2 splits at most) nor for one split.  A vacuum
+    # mode makes 2 cov - i J singular, so those states keep the eigen-call
+    # route; seeded mixed states take the inverse
     calls = []
     gate = entanglement._g_inverse
 
@@ -657,23 +662,35 @@ def test_round_one_comes_from_the_inverse_only_for_a_well_conditioned_g(monkeypa
 
     monkeypatch.setattr(entanglement, "_g_inverse", spy)
     rng = np.random.default_rng(51)
-    vacuum_states = [with_vacuum(rng, n)[0] for n in (4, 5, 6) for _ in range(4)]
+    vacuum_states = [with_vacuum(rng, n)[0] for n in (6, 8) for _ in range(4)]
+    taken = set()
     for states, route in ((vacuum_states, False), (random_mixed_states(52), True)):
         for state in states:
+            n = state.n_modes
             calls.clear()
-            escalated = any(v.method is Method.ITERATIVE
-                            for _, v in bipartition_scan(state))
-            assert calls == ([route] if escalated else []), state.n_modes
+            b_modes = sum(len(split.side_b) for split, v in bipartition_scan(state)
+                          if v.method is Method.ITERATIVE)
+            gated = b_modes >= entanglement._INVERSE_MIN_B_MODES
+            assert calls == ([route] if gated else []), n
+            taken.add((n, route, gated))
             calls.clear()
-            iterative_separability(state, Bipartition((0,), range(1, state.n_modes)))
-            assert calls == [route]
+            for m in range(1, n // 2 + 1):
+                iterative_separability(state, Bipartition(range(m), range(m, n)))
+            assert calls == [], n
+    assert {(6, False, True), (8, False, True), (6, True, True),
+            (8, True, True), (4, True, False)} <= taken
+    assert (4, True, True) not in taken
 
 
 @pytest.mark.parametrize("n", [6, 8])
 def test_iterative_verdicts_do_not_depend_on_where_each_side_sits(n):
-    # each escalated split is decided again on a reordering of the modes
-    # that keeps the order within each side, so the recursion sees the
-    # same blocks: status and iteration count must not change
+    # each escalated split is decided again by the scan of a reordering of
+    # the modes that keeps the order within each side.  Both scans take
+    # round 1 from inv(2 cov - i J) on these states, each with its own
+    # gather of the side-A blocks, and the inverses of the two G agree up
+    # to roundoff, not bit for bit; so status and iteration count must not
+    # change, and a failure on new seeds may also be roundoff at the edge
+    # of a certificate rather than a wrong gather
     rng = np.random.default_rng(53)
     checked = 0
     for state in random_mixed_states(54, sizes=(n,), per_size=8):
@@ -686,7 +703,7 @@ def test_iterative_verdicts_do_not_depend_on_where_each_side_sits(n):
             perm = [0] * n
             for slot, k in zip(new_a + new_b, split.side_a + split.side_b):
                 perm[slot] = k
-            moved = iterative_separability(reorder(state, perm), Bipartition(new_a, new_b))
+            moved = dict(bipartition_scan(reorder(state, perm)))[Bipartition(new_a, new_b)]
             assert (moved.status, moved.iterations) == (
                 verdict.status, verdict.iterations), split
             checked += 1
