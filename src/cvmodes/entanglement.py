@@ -51,8 +51,10 @@ _G_RATIO = 1e-6
 
 _INVERSE_MIN_B_MODES = 12
 """Least side-B modes, summed over the escalated splits of one matrix, for
-round 1 from inv(G): below it one eigen-call per split costs less than the
-inverses of G."""
+round 1 from inv(G).  Timed on seeded mixed states, the eigen-calls were
+as fast or faster up to 8 (every single split of up to 8 modes, a 4-mode
+scan) and the inverses faster from 12 (three open 2|4 or two open 2|6
+splits)."""
 
 
 class Status(str, enum.Enum):
