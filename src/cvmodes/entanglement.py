@@ -175,16 +175,22 @@ def symplectic_eigenvalues(sigma):
     n = sigma.shape[-1] // 2 if sigma.ndim >= 2 else 0
     if n == 0 or sigma.shape[-2:] != (2 * n, 2 * n):
         raise NumericalFailure(f"matrix shape {sigma.shape} is not even-square")
+    _check_symmetric(sigma)
     _check_positive_definite(sigma)
     return _symplectic_spectrum(sigma)
 
 
-def _check_positive_definite(sigma):
-    """NumericalFailure unless every matrix of ``sigma`` is finite, symmetric and PD."""
+def _check_symmetric(sigma):
+    """NumericalFailure unless every matrix of ``sigma`` is finite and symmetric."""
     if not np.isfinite(sigma).all():
         raise NumericalFailure("matrix has non-finite entries")
     if np.abs(sigma - np.swapaxes(sigma, -1, -2)).max(initial=0.0) > TOL_SYMMETRY:
         raise NumericalFailure("matrix is not symmetric")
+
+
+def _check_positive_definite(sigma):
+    """NumericalFailure unless every matrix of ``sigma``, known finite and
+    symmetric, is positive definite."""
     if (np.linalg.eigvalsh(sigma)[..., 0] <= 0).any():
         raise NumericalFailure("matrix is not positive definite")
 
@@ -243,10 +249,12 @@ def _decide(cov, table, band, escalate):
     side-A size.  A split escalates only on one matrix ``cov``; when its
     escalated splits hold at least _INVERSE_MIN_B_MODES side-B modes in
     all, its :func:`_g_inverse` is taken once, and the side-A blocks of
-    that inverse start each call.
+    that inverse start each call.  Positive definiteness is checked after
+    the partial transpose, since it needs no spectrum of ``cov`` when
+    that inverse exists, but before any :func:`_gklc` call.
     """
     _check_band(band)
-    _check_positive_definite(cov)
+    _check_symmetric(cov)
     masks, one_by_n, order, size_a = table
     spectra = _symplectic_spectrum(cov * masks)
     witness = spectra[:, 0]
@@ -259,18 +267,34 @@ def _decide(cov, table, band, escalate):
     n = cov.shape[-1] // 2
     b_modes = sum((n - m) * len(group) for m, group in groups.items())
     g_inv = _g_inverse(cov) if b_modes >= _INVERSE_MIN_B_MODES else None
+    if g_inv is None:
+        # else lambda_min(G) > 0 has shown cov positive definite, as
+        # x^T G x = 2 x^T cov x for real x
+        _check_positive_definite(cov)
     for m, group in groups.items():
         g_inv_a = None if g_inv is None else g_inv.take(order[group, : 2 * m, : 2 * m])
         for k, decided in zip(group, _gklc(2.0 * cov.take(order[group]), m, band, g_inv_a)):
             codes[k], iterations[k] = decided
+    # with every witness at or above SHOT_NOISE each log-negativity is 0.0
+    if witness.min() < SHOT_NOISE:
+        lognegs = log_negativity_from_spectrum(spectra).tolist()
+    else:
+        lognegs = [0.0] * len(codes)
     statuses = list(Status)
     return [
-        EntanglementVerdict(statuses[c], w, logneg,
-                            Method.PPT if it is None else Method.ITERATIVE, it)
-        for c, w, logneg, it in zip(codes, witness.tolist(),
-                                    log_negativity_from_spectrum(spectra).tolist(),
-                                    iterations)
+        _verdict(statuses[c], w, logneg, Method.PPT if it is None else Method.ITERATIVE, it)
+        for c, w, logneg, it in zip(codes, witness.tolist(), lognegs, iterations)
     ]
+
+
+def _verdict(status, witness, log_negativity, method, iterations):
+    """An EntanglementVerdict of checked fields, built without the dataclass
+    ``__init__``; it is equal to, hashes like and prints like the one that
+    ``EntanglementVerdict(...)`` builds."""
+    out = object.__new__(EntanglementVerdict)
+    out.__dict__.update(status=status, witness=witness, log_negativity=log_negativity,
+                        method=method, iterations=iterations)
+    return out
 
 
 def ppt_verdict(state, bipartition, band=THRESHOLD_BAND):
@@ -295,9 +319,12 @@ def _gklc(gamma, m, band, g_inv_a=None):
 
     The first ``m`` modes of every slice form side A.  Returns one
     (status code, iterations) pair per slice, equal to running the
-    recursion on each slice alone: every round makes one stacked SVD and
-    one stacked Hermitian eigen-call, of B + i J_B, over the slices still
-    without a certificate (round 1 also takes the floor of A).  Given
+    recursion on each slice alone.  Every round, over the slices still
+    without a certificate, takes ||C||_2 from one stacked ``eigvalsh`` of
+    the Gram matrices C C^T and the floor of A from one of A + i J_A.
+    Round 1 adds one stacked ``eigh`` of B + i J_B, for B's floor and
+    the pseudo-inverse; from round 2 on B is A, and the ``eigh`` of
+    A + i J_A is made only for the slices that round leaves open.  Given
     ``g_inv_a``, the side-A blocks of :func:`_g_inverse`, round 1 takes X
     from one stacked inverse instead, and B's floor only where A's passes
     the norm test (see :func:`iterative_separability`).
@@ -313,14 +340,16 @@ def _gklc(gamma, m, band, g_inv_a=None):
 
     live = list(range(len(gamma)))
     out = [(2, DEFAULT_MAX_ITER)] * len(live)
-    floor = _heisenberg_floor(a_blk)
     for it in range(1, DEFAULT_MAX_ITER + 1):
-        norm_c = np.linalg.svd(c_blk, compute_uv=False)[:, 0]
-        if g_inv_a is None:
-            # from round 2 on B is A, so B's floor is A's floor as well
+        # from round 2 on B is A, so A's floor is B's as well
+        floor = _heisenberg_floor(a_blk)
+        # ||C||_2 is the root of the largest eigenvalue of the Gram matrix C C^T
+        gram = c_blk @ c_blk.transpose(0, 2, 1)
+        norm_c = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
+        if it == 1 and g_inv_a is None:
             w, v = np.linalg.eigh(b_blk + ij_b)
-            floor = np.minimum(floor, w[:, 0]) if it == 1 else w[:, 0]
-        else:
+            floor = np.minimum(floor, w[:, 0])
+        elif it == 1:
             # G > 0, so no floor is negative, and B's floor matters only
             # where A's passes the norm test; eigh, as on the other route,
             # gives it the same bits
@@ -345,7 +374,12 @@ def _gklc(gamma, m, band, g_inv_a=None):
             g_inv_a = None
         else:
             if len(keep) < len(live):
-                a_blk, c_blk, w, v = a_blk[keep], c_blk[keep], w[keep], v[keep]
+                a_blk, c_blk = a_blk[keep], c_blk[keep]
+            if it > 1:
+                # B is A, and only the splits that go on need eigenvectors
+                w, v = np.linalg.eigh(a_blk + ij_a)
+            elif len(keep) < len(live):
+                w, v = w[keep], v[keep]
             # X = C (B - i J_B)^+ C^T with B - i J_B = conj(V) diag(w) V^T;
             # 1/w is dropped where |w| <= 1e-15 max|w|, the cutoff of
             # numpy's pinv
@@ -357,8 +391,6 @@ def _gklc(gamma, m, band, g_inv_a=None):
             a_blk = a_blk - x.real
             c_blk = -x.imag
         live = [live[j] for j in keep]
-        b_blk = a_blk
-        ij_b = ij_a
     return out
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from itertools import combinations
 
@@ -6,6 +7,7 @@ import pytest
 
 from cvmodes import (
     Bipartition,
+    EntanglementVerdict,
     GaussianState,
     Method,
     ModeLabel,
@@ -15,6 +17,7 @@ from cvmodes import (
     Status,
     apply,
     bipartition_scan,
+    distribution_config,
     embed_with_vacua,
     iterative_separability,
     make_standard_form,
@@ -26,6 +29,7 @@ from cvmodes import (
     quarter_waveplate_relabel,
     reduce,
     reorder,
+    run_pipeline,
     sigma4_closed_form,
     symplectic_eigenvalues,
     vacuum_state,
@@ -89,6 +93,8 @@ def pipeline_output(params):
 
 
 AB = Bipartition((0,), (1,))
+AB4 = Bipartition((0, 1), (2, 3))
+NEAR_THRESHOLD = 1e-7  # witnesses this close to SHOT_NOISE - band are not judged
 
 
 # -- partial transpose ---------------------------------------------------------
@@ -587,13 +593,21 @@ def test_stacked_gklc_equals_split_by_split_reference(monkeypatch, first_round):
     # leaves some splits Inconclusive.  With no least side-B mode count,
     # every escalating state whose 2 cov - i J is well conditioned takes
     # round 1 from its inverse, single splits and 4-mode scans too; with
-    # the gate shut every state takes the eigen-call route
+    # the gate shut every state takes the eigen-call route.  Edge inputs:
+    # the boundary state a - c = 1/2, states with a vacuum mode (singular
+    # B - i J_B, and G, so they keep the eigen-call route) and strongly
+    # squeezed states, whose scans escalate no split but whose single
+    # splits all escalate
     if first_round == "inverse":
         monkeypatch.setattr(entanglement, "_INVERSE_MIN_B_MODES", 1)
     else:
         monkeypatch.setattr(entanglement, "_g_inverse", lambda cov: None)
+    rng = np.random.default_rng(55)
     states = [*random_mixed_states(49), distributed_state(),
-              vacuum_state(circular_register(4))]
+              vacuum_state(circular_register(4)),
+              make_standard_form(StandardFormParams(0.9, 0.9, 0.4, -0.4)),
+              *(with_vacuum(rng, n)[0] for n in (6, 8)),
+              *(strongly_squeezed(r) for r in (9.0, 10.0))]
     mixed_rounds = 0
     for max_iter in (2, DEFAULT_MAX_ITER):
         monkeypatch.setattr(entanglement, "DEFAULT_MAX_ITER", max_iter)
@@ -611,6 +625,25 @@ def test_stacked_gklc_equals_split_by_split_reference(monkeypatch, first_round):
                     rounds.add(verdict.iterations)
             mixed_rounds += len(rounds) > 1
     assert mixed_rounds > 0
+
+
+def strongly_squeezed(r):
+    """The distributed 4-mode state of an opo source with eta = 0.9."""
+    return run_pipeline(distribution_config(
+        source={"kind": "opo", "r": r, "eta": 0.9})).final_state
+
+
+@pytest.mark.parametrize("r", [9.0, 10.0, 12.0])
+def test_iterative_agrees_with_ppt_on_strongly_squeezed_states(r):
+    # every 1|3 and 2|2 split of these states is PPT-entangled; at r = 12
+    # the split-by-split reference (SVD norm, pinv) certifies some of them
+    # Separable in float64, so the stacked kernel is held to the
+    # conclusive PPT verdicts here, not to that reference
+    state = strongly_squeezed(r)
+    for split in enumerate_bipartitions(4):
+        ppt = ppt_verdict(state, split)
+        assert ppt.status is Status.ENTANGLED, split
+        assert iterative_separability(state, split).status is Status.ENTANGLED, split
 
 
 def with_vacuum(rng, n):
@@ -748,6 +781,132 @@ def test_every_verdict_of_the_pinned_states_keeps_its_bits():
             count += 1
     assert count == 5120 + 80 * (6 + 15 + 28)
     assert digest.hexdigest() == VERDICT_REPRS_SHA256
+
+
+@pytest.mark.parametrize("status", list(Status))
+@pytest.mark.parametrize("method", list(Method))
+def test_a_decided_verdict_is_indistinguishable_from_a_constructed_one(status, method):
+    # the deciders build verdicts without the dataclass __init__
+    iterations = None if method is Method.PPT else 3
+    fields = dict(status=status, witness=0.4375, log_negativity=0.1335,
+                  method=method, iterations=iterations)
+    built = EntanglementVerdict(**fields)
+    decided = entanglement._verdict(**fields)
+    assert type(decided) is EntanglementVerdict
+    assert decided == built and built == decided
+    assert hash(decided) == hash(built)
+    assert repr(decided) == repr(built)
+    assert dataclasses.asdict(decided) == dataclasses.asdict(built) == fields
+    for name in fields:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(decided, name, None)
+    assert decided == built
+    changed = dataclasses.replace(decided, witness=0.5)
+    assert changed == dataclasses.replace(built, witness=0.5) != decided
+    assert decided.witness == 0.4375
+
+
+def test_every_decider_returns_verdicts_equal_to_constructed_ones():
+    state = distributed_state()
+    verdicts = [ppt_verdict(state, AB4), iterative_separability(state, AB4),
+                *pairwise_entanglement_map(state).pairwise.values(),
+                *(v for _, v in bipartition_scan(state))]
+    assert {v.method for v in verdicts} == set(Method)
+    for verdict in verdicts:
+        built = EntanglementVerdict(**dataclasses.asdict(verdict))
+        assert (verdict, hash(verdict), repr(verdict)) == (built, hash(built), repr(built))
+
+
+def test_log_negativity_is_zero_without_a_witness_below_shot_noise(monkeypatch):
+    # the deciders skip the log-negativity sum when every witness is at or
+    # above shot noise; the sum would give 0.0 there too
+    sums = []
+    total = entanglement.log_negativity_from_spectrum
+
+    def spy(spectra):
+        sums.append(len(spectra))
+        return total(spectra)
+
+    monkeypatch.setattr(entanglement, "log_negativity_from_spectrum", spy)
+    for state in [vacuum_state(circular_register(4)), *random_mixed_states(56)]:
+        for split, verdict in bipartition_scan(state):
+            spectrum = symplectic_eigenvalues(partial_transpose(state, split.side_b))
+            assert verdict.log_negativity == total(spectrum), split
+            assert repr(verdict.log_negativity) == repr(total(spectrum)), split
+        witnesses = [v.witness for _, v in bipartition_scan(state)]
+        calls = len(sums)
+        bipartition_scan(state)
+        assert len(sums) == calls + (min(witnesses) < 0.5)
+
+
+def test_positive_definiteness_is_checked_before_any_iterative_work(monkeypatch):
+    # a state that takes round 1 from inv(2 cov - i J) gets no spectrum of
+    # cov; an indefinite cov makes that G indefinite too, so it still
+    # fails the check before the recursion starts
+    def no_recursion(*args):
+        raise AssertionError("iterative work on an unchecked matrix")
+
+    monkeypatch.setattr(entanglement, "_INVERSE_MIN_B_MODES", 0)
+    monkeypatch.setattr(entanglement, "_gklc", no_recursion)
+    state = invalid_states()["positive definite"]
+    for decide in (lambda: iterative_separability(state, Bipartition((0, 1), (2, 3))),
+                   lambda: bipartition_scan(state)):
+        with pytest.raises(NumericalFailure, match="positive definite"):
+            decide()
+
+
+def time_reversed(state):
+    """The state with every Y quadrature sign-flipped."""
+    signs = np.tile([1.0, -1.0], state.n_modes)
+    return GaussianState(state.register, state.mean * signs,
+                         state.cov * np.outer(signs, signs))
+
+
+def assert_same_verdict(got, want, where, iterations=True):
+    # witnesses to 1e-12 relative; status only away from the threshold
+    # band, and iterations only where both runs have the same side A
+    assert got.witness == pytest.approx(want.witness, rel=1e-12, abs=0.0), where
+    if abs(want.witness - (0.5 - THRESHOLD_BAND)) > NEAR_THRESHOLD:
+        assert (got.status, got.method) == (want.status, want.method), where
+        if iterations:
+            assert got.iterations == want.iterations, where
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_verdicts_do_not_change_under_time_reversal(n):
+    # flipping every Y quadrature takes the partial transpose of side B to
+    # that of side A, with the same spectrum, and every block A + i J_A of
+    # the recursion to its complex conjugate, with the same eigenvalues
+    escalated = 0
+    for state in random_mixed_states(57, sizes=(n,), per_size=8):
+        flipped = time_reversed(state)
+        for (split, want), (same, got) in zip(bipartition_scan(state),
+                                              bipartition_scan(flipped)):
+            assert same == split
+            assert_same_verdict(got, want, split)
+            escalated += want.method is Method.ITERATIVE
+        pairs = pairwise_entanglement_map(flipped).pairwise
+        for pair, want in pairwise_entanglement_map(state).pairwise.items():
+            assert_same_verdict(pairs[pair], want, pair)
+    assert escalated > 5
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_transposing_side_a_instead_of_side_b_keeps_every_verdict(n):
+    # Bipartition(b, a) transposes the original side A; its iteration
+    # count may differ, since the recursion sets B <- A each round
+    escalated = 0
+    for state in random_mixed_states(58, sizes=(n,), per_size=4):
+        for split, want in bipartition_scan(state):
+            swapped = Bipartition(split.side_b, split.side_a)
+            witness = symplectic_eigenvalues(partial_transpose(state, split.side_a))[0]
+            assert witness == pytest.approx(want.witness, rel=1e-12, abs=0.0), split
+            assert_same_verdict(ppt_verdict(state, swapped), ppt_verdict(state, split), split)
+            assert_same_verdict(iterative_separability(state, swapped),
+                                iterative_separability(state, split), split,
+                                iterations=False)
+            escalated += want.method is Method.ITERATIVE
+    assert escalated > 5
 
 
 def test_iterative_inconclusive_when_budget_exhausted(monkeypatch):
