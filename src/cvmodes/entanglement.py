@@ -275,15 +275,12 @@ def _decide(cov, table, band, escalate):
         g_inv_a = None if g_inv is None else g_inv.take(order[group, : 2 * m, : 2 * m])
         for k, decided in zip(group, _gklc(2.0 * cov.take(order[group]), m, band, g_inv_a)):
             codes[k], iterations[k] = decided
-    # with every witness at or above SHOT_NOISE each log-negativity is 0.0
-    if witness.min() < SHOT_NOISE:
-        lognegs = log_negativity_from_spectrum(spectra).tolist()
-    else:
-        lognegs = [0.0] * len(codes)
     statuses = list(Status)
     return [
         _verdict(statuses[c], w, logneg, Method.PPT if it is None else Method.ITERATIVE, it)
-        for c, w, logneg, it in zip(codes, witness.tolist(), lognegs, iterations)
+        for c, w, logneg, it in zip(codes, witness.tolist(),
+                                    log_negativity_from_spectrum(spectra).tolist(),
+                                    iterations)
     ]
 
 
@@ -319,12 +316,10 @@ def _gklc(gamma, m, band, g_inv_a=None):
 
     The first ``m`` modes of every slice form side A.  Returns one
     (status code, iterations) pair per slice, equal to running the
-    recursion on each slice alone.  Every round, over the slices still
+    recursion on each slice alone: every round, over the slices still
     without a certificate, takes ||C||_2 from one stacked ``eigvalsh`` of
-    the Gram matrices C C^T and the floor of A from one of A + i J_A.
-    Round 1 adds one stacked ``eigh`` of B + i J_B, for B's floor and
-    the pseudo-inverse; from round 2 on B is A, and the ``eigh`` of
-    A + i J_A is made only for the slices that round leaves open.  Given
+    the Gram matrices C C^T and makes one stacked Hermitian eigen-call, of
+    B + i J_B (round 1 also takes the floor of A).  Given
     ``g_inv_a``, the side-A blocks of :func:`_g_inverse`, round 1 takes X
     from one stacked inverse instead, and B's floor only where A's passes
     the norm test (see :func:`iterative_separability`).
@@ -340,16 +335,16 @@ def _gklc(gamma, m, band, g_inv_a=None):
 
     live = list(range(len(gamma)))
     out = [(2, DEFAULT_MAX_ITER)] * len(live)
+    floor = _heisenberg_floor(a_blk)
     for it in range(1, DEFAULT_MAX_ITER + 1):
-        # from round 2 on B is A, so A's floor is B's as well
-        floor = _heisenberg_floor(a_blk)
         # ||C||_2 is the root of the largest eigenvalue of the Gram matrix C C^T
         gram = c_blk @ c_blk.transpose(0, 2, 1)
         norm_c = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[:, -1], 0.0))
-        if it == 1 and g_inv_a is None:
+        if g_inv_a is None:
+            # from round 2 on B is A, so B's floor is A's floor as well
             w, v = np.linalg.eigh(b_blk + ij_b)
-            floor = np.minimum(floor, w[:, 0])
-        elif it == 1:
+            floor = np.minimum(floor, w[:, 0]) if it == 1 else w[:, 0]
+        else:
             # G > 0, so no floor is negative, and B's floor matters only
             # where A's passes the norm test; eigh, as on the other route,
             # gives it the same bits
@@ -374,12 +369,7 @@ def _gklc(gamma, m, band, g_inv_a=None):
             g_inv_a = None
         else:
             if len(keep) < len(live):
-                a_blk, c_blk = a_blk[keep], c_blk[keep]
-            if it > 1:
-                # B is A, and only the splits that go on need eigenvectors
-                w, v = np.linalg.eigh(a_blk + ij_a)
-            elif len(keep) < len(live):
-                w, v = w[keep], v[keep]
+                a_blk, c_blk, w, v = a_blk[keep], c_blk[keep], w[keep], v[keep]
             # X = C (B - i J_B)^+ C^T with B - i J_B = conj(V) diag(w) V^T;
             # 1/w is dropped where |w| <= 1e-15 max|w|, the cutoff of
             # numpy's pinv
@@ -391,6 +381,8 @@ def _gklc(gamma, m, band, g_inv_a=None):
             a_blk = a_blk - x.real
             c_blk = -x.imag
         live = [live[j] for j in keep]
+        b_blk = a_blk
+        ij_b = ij_a
     return out
 
 
