@@ -111,7 +111,7 @@ class ModeRegister:
         raise IndexOutOfRange(f"no mode tagged {tag!r} in register {self.tags}")
 
 
-@lru_cache(maxsize=64)
+@cache
 def two_mode_register():
     """Default register of a two-mode source: a[H,0] and b[V,0].
 

@@ -49,13 +49,6 @@ DEFAULT_ITER_TOL = 1e-10
 _G_RATIO = 1e-6
 """Least lambda_min / lambda_max of G = 2 cov - i J for round 1 from inv(G)."""
 
-_INVERSE_MIN_B_MODES = 12
-"""Least side-B modes, summed over the escalated splits of one matrix, for
-round 1 from inv(G).  Timed on seeded mixed states, the eigen-calls were
-as fast or faster up to 8 (every single split of up to 8 modes, a 4-mode
-scan) and the inverses faster from 12 (three open 2|4 or two open 2|6
-splits)."""
-
 
 class Status(str, enum.Enum):
     ENTANGLED = "entangled"
@@ -246,12 +239,12 @@ def _decide(cov, table, band, escalate):
     into Status: 0 entangled, 1 separable, 2 inconclusive.  The splits of
     one matrix whose partial-transpose code is at least ``escalate`` (0:
     all, 2: the open ones, 3: none) go on to one :func:`_gklc` call per
-    side-A size.  A split escalates only on one matrix ``cov``; when its
-    escalated splits hold at least _INVERSE_MIN_B_MODES side-B modes in
-    all, its :func:`_g_inverse` is taken once, and the side-A blocks of
-    that inverse start each call.  Positive definiteness is checked after
-    the partial transpose, since it needs no spectrum of ``cov`` when
-    that inverse exists, but before any :func:`_gklc` call.
+    side-A size.  A split escalates only on one matrix ``cov``; when any
+    does, its :func:`_g_inverse` is taken once, and where G passes the
+    _G_RATIO test the side-A blocks of that inverse start each call
+    (else round 1 takes the pseudo-inverse).  Positive definiteness is
+    checked after the partial transpose, since it needs no spectrum of
+    ``cov`` when that inverse exists, but before any :func:`_gklc` call.
     """
     _check_band(band)
     _check_symmetric(cov)
@@ -264,9 +257,7 @@ def _decide(cov, table, band, escalate):
     for k, code in enumerate(codes):
         if code >= escalate:
             groups.setdefault(int(size_a[k]), []).append(k)
-    n = cov.shape[-1] // 2
-    b_modes = sum((n - m) * len(group) for m, group in groups.items())
-    g_inv = _g_inverse(cov) if b_modes >= _INVERSE_MIN_B_MODES else None
+    g_inv = _g_inverse(cov) if groups else None
     if g_inv is None:
         # else lambda_min(G) > 0 has shown cov positive definite, as
         # x^T G x = 2 x^T cov x for real x
@@ -320,9 +311,11 @@ def _gklc(gamma, m, band, g_inv_a=None):
     without a certificate, takes ||C||_2 from one stacked ``eigvalsh`` of
     the Gram matrices C C^T and makes one stacked Hermitian eigen-call, of
     B + i J_B (round 1 also takes the floor of A).  Given
-    ``g_inv_a``, the side-A blocks of :func:`_g_inverse`, round 1 takes X
-    from one stacked inverse instead, and B's floor only where A's passes
-    the norm test (see :func:`iterative_separability`).
+    ``g_inv_a``, the side-A blocks of :func:`_g_inverse`, which
+    :func:`_decide` passes wherever G passes the _G_RATIO test, round 1
+    takes X from one stacked inverse instead, and B's floor only where
+    A's passes the norm test (see :func:`iterative_separability`);
+    without them round 1 takes the pseudo-inverse of B - i J_B.
     DEFAULT_MAX_ITER and DEFAULT_ITER_TOL are read at call time.
     """
     a_blk = gamma[:, : 2 * m, : 2 * m]
@@ -424,18 +417,16 @@ def iterative_separability(state, bipartition, band=THRESHOLD_BAND):
     certificate after DEFAULT_MAX_ITER rounds is Inconclusive, with that
     iteration count.
 
-    Round 1 takes one of two routes, equal up to roundoff.  A state whose
-    escalated splits hold at least 12 side-B modes in all may start from
-    G = gamma - i J (a single split does so only from 13 modes on):
-    when lambda_min(G) > 1e-6 lambda_max(G) (one eigvalsh per state), the
-    Schur complement gives A - i J_A - X = inv(inv(G)_AA), so one
-    inverse of G and one stacked inverse of its side-A blocks replace
-    the eigen-calls on B - i J_B.  G > 0 then keeps both floors above
-    zero, so round 1 cannot certify Entangled, and B's floor is taken
-    only when A's passes the norm test min eig >= ||C||_2.  Every other
-    split (fewer side-B modes, a vacuum or pure mode, G near singular)
-    takes the pseudo-inverse of B - i J_B.  Rounds 2 on are the same
-    for both.
+    Round 1 takes one of two routes, equal up to roundoff.  Every
+    escalated split starts from G = gamma - i J when lambda_min(G) >
+    1e-6 lambda_max(G) (one eigvalsh per state): the Schur complement
+    gives A - i J_A - X = inv(inv(G)_AA), so one inverse of G and one
+    stacked inverse of its side-A blocks replace the eigen-calls on
+    B - i J_B.  G > 0 then keeps both floors above zero, so round 1
+    cannot certify Entangled, and B's floor is taken only when A's
+    passes the norm test min eig >= ||C||_2.  A state whose G fails
+    that test (a vacuum or pure mode, G near singular) takes the
+    pseudo-inverse of B - i J_B.  Rounds 2 on are the same for both.
 
     Away from the threshold band, ``Bipartition(a, b)`` and
     ``Bipartition(b, a)`` get the same status.  Their iteration counts

@@ -96,13 +96,18 @@ def sigma4_reference(a, b, c1, c2, sn=SN):
     return m
 
 
-def random_mixed_cov(rng, n):
-    """Squeezed thermal product state under a Haar-random passive map,
-    in interleaved (X1, Y1, X2, Y2, ...) order."""
+def haar_passive(rng, n):
+    """Haar-random passive symplectic map of n modes, in (X..., Y...) order."""
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(z)
     u = q * (np.diag(r) / np.abs(np.diag(r)))
-    s = np.block([[u.real, -u.imag], [u.imag, u.real]])
+    return np.block([[u.real, -u.imag], [u.imag, u.real]])
+
+
+def random_mixed_cov(rng, n):
+    """Squeezed thermal product state under a Haar-random passive map,
+    in interleaved (X1, Y1, X2, Y2, ...) order."""
+    s = haar_passive(rng, n)
     squeeze = rng.uniform(0.0, 0.4, n)
     nu = rng.uniform(0.5, 1.3, n)
     d = np.diag(np.concatenate([nu * np.exp(2 * squeeze),

@@ -15,6 +15,7 @@ from cvmodes import (
     QPlateSpec,
     StandardFormParams,
     Status,
+    SymplecticTransform,
     apply,
     bipartition_scan,
     distribution_config,
@@ -51,6 +52,7 @@ from cvmodes.errors import (
 
 from oracles import (
     gklc_reference,
+    haar_passive,
     omega_kron,
     random_mixed_cov,
     random_standard_form,
@@ -590,17 +592,14 @@ def test_stacked_gklc_equals_split_by_split_reference(monkeypatch, first_round):
     # every split goes through iterative_separability (a stack of one);
     # the scan stacks its escalated splits, and stacks whose splits finish
     # at different rounds exercise the shrinking live set.  A budget of 2
-    # leaves some splits Inconclusive.  With no least side-B mode count,
-    # every escalating state whose 2 cov - i J is well conditioned takes
-    # round 1 from its inverse, single splits and 4-mode scans too; with
-    # the gate shut every state takes the eigen-call route.  Edge inputs:
-    # the boundary state a - c = 1/2, states with a vacuum mode (singular
-    # B - i J_B, and G, so they keep the eigen-call route) and strongly
-    # squeezed states, whose scans escalate no split but whose single
-    # splits all escalate
-    if first_round == "inverse":
-        monkeypatch.setattr(entanglement, "_INVERSE_MIN_B_MODES", 1)
-    else:
+    # leaves some splits Inconclusive.  Every escalating state whose
+    # 2 cov - i J is well conditioned takes round 1 from its inverse,
+    # single splits and 4-mode scans too; with the gate shut every state
+    # takes the eigen-call route.  Edge inputs: the boundary state
+    # a - c = 1/2, states with a vacuum mode (singular B - i J_B, and G,
+    # so they keep the eigen-call route) and strongly squeezed states,
+    # whose scans escalate no split but whose single splits all escalate
+    if first_round == "eigen":
         monkeypatch.setattr(entanglement, "_g_inverse", lambda cov: None)
     rng = np.random.default_rng(55)
     states = [*random_mixed_states(49), distributed_state(),
@@ -679,11 +678,12 @@ def test_gklc_pseudo_inverse_of_a_singular_block_equals_reference():
     assert singular_rounds > 100
 
 
-def test_round_one_comes_from_the_inverse_only_where_it_pays(monkeypatch):
-    # the gate runs once per state whose escalated splits hold at least
-    # _INVERSE_MIN_B_MODES side-B modes, and never otherwise: not for a
-    # 4-mode scan (three 2|2 splits at most) nor for one split.  A vacuum
-    # mode makes 2 cov - i J singular, so those states keep the eigen-call
+def test_round_one_comes_from_the_inverse_wherever_a_split_escalates(monkeypatch):
+    # the gate runs once per decision that escalates a split: a scan at
+    # any n with an open split, and every single split; never for a scan
+    # whose splits all end at the partial transpose, nor for the pairwise
+    # map.  A vacuum mode makes 2 cov - i J singular, and strong squeezing
+    # (r = 9) makes it ill conditioned, so those states keep the eigen-call
     # route; seeded mixed states take the inverse
     calls = []
     gate = entanglement._g_inverse
@@ -695,24 +695,23 @@ def test_round_one_comes_from_the_inverse_only_where_it_pays(monkeypatch):
 
     monkeypatch.setattr(entanglement, "_g_inverse", spy)
     rng = np.random.default_rng(51)
-    vacuum_states = [with_vacuum(rng, n)[0] for n in (6, 8) for _ in range(4)]
+    vacuum_states = [with_vacuum(rng, n)[0] for n in (4, 6, 8) for _ in range(4)]
     taken = set()
-    for states, route in ((vacuum_states, False), (random_mixed_states(52), True)):
+    for states, route in ((vacuum_states + [strongly_squeezed(9.0)], False),
+                          (random_mixed_states(52), True)):
         for state in states:
             n = state.n_modes
             calls.clear()
-            b_modes = sum(len(split.side_b) for split, v in bipartition_scan(state)
-                          if v.method is Method.ITERATIVE)
-            gated = b_modes >= entanglement._INVERSE_MIN_B_MODES
-            assert calls == ([route] if gated else []), n
-            taken.add((n, route, gated))
-            calls.clear()
+            escalated = any(v.method is Method.ITERATIVE for _, v in bipartition_scan(state))
+            pairwise_entanglement_map(state)
+            assert calls == ([route] if escalated else []), n
+            taken.add((n, route, escalated))
             for m in range(1, n // 2 + 1):
+                calls.clear()
                 iterative_separability(state, Bipartition(range(m), range(m, n)))
-            assert calls == [], n
-    assert {(6, False, True), (8, False, True), (6, True, True),
-            (8, True, True), (4, True, False)} <= taken
-    assert (4, True, True) not in taken
+                assert calls == [route], (n, m)
+    assert {(n, route, True) for n in (4, 6, 8) for route in (False, True)} <= taken
+    assert {(4, False, False), (4, True, False)} <= taken
 
 
 @pytest.mark.parametrize("n", [6, 8])
@@ -824,7 +823,6 @@ def test_positive_definiteness_is_checked_before_any_iterative_work(monkeypatch)
     def no_recursion(*args):
         raise AssertionError("iterative work on an unchecked matrix")
 
-    monkeypatch.setattr(entanglement, "_INVERSE_MIN_B_MODES", 0)
     monkeypatch.setattr(entanglement, "_gklc", no_recursion)
     state = invalid_states()["positive definite"]
     for decide in (lambda: iterative_separability(state, Bipartition((0, 1), (2, 3))),
@@ -893,6 +891,50 @@ def test_transposing_side_a_instead_of_side_b_keeps_every_verdict(n):
             assert_same_verdict(got, want, split, iterations=False)
             compared += want.method is Method.ITERATIVE
     assert compared > 0
+
+
+def local_symplectic(rng, register, split, squeeze):
+    """A map that acts on each side of ``split`` alone: per side Haar
+    passive, then single-mode squeezing with |r| <= squeeze, then Haar
+    passive."""
+    s = np.zeros((2 * len(register),) * 2)
+    for side in (split.side_a, split.side_b):
+        k = len(side)
+        order = [j // 2 + (j % 2) * k for j in range(2 * k)]
+        r = rng.uniform(-squeeze, squeeze, k)
+        squeezing = np.diag(np.exp(np.column_stack([-r, r]).ravel()))
+        left, right = (haar_passive(rng, k)[np.ix_(order, order)] for _ in range(2))
+        quadratures = [2 * j + t for j in side for t in (0, 1)]
+        s[np.ix_(quadratures, quadratures)] = left @ squeezing @ right
+    return SymplecticTransform(s, register, register)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_verdicts_do_not_change_under_local_symplectic_maps(n):
+    # a local map S_A (+) S_B keeps the partial-transpose spectrum, and the
+    # recursion takes each block A - i J_A to S_A (A - i J_A) S_A^T.  For a
+    # passive S_A that is a similarity, so iteration counts must not
+    # change; squeezing makes it a congruence, which keeps the sign of
+    # every eigenvalue but not its size, so a Separable certificate may
+    # fire in another round.  The mapped split goes to the decider whose
+    # method the scan used; a split that ran out of rounds on either
+    # state is compared by its witness alone
+    rng = np.random.default_rng(59)
+    compared = 0
+    for state in random_mixed_states(60, sizes=(n,), per_size=4):
+        for split, want in bipartition_scan(state):
+            for squeeze in (0.0, 1.0):
+                local = local_symplectic(rng, state.register, split, squeeze)
+                assert local.passive is (squeeze == 0.0)
+                decide = iterative_separability if want.method is Method.ITERATIVE else ppt_verdict
+                got = decide(apply(local, state), split)
+                if any(v.status is Status.INCONCLUSIVE and v.iterations == DEFAULT_MAX_ITER
+                       for v in (got, want)):
+                    assert got.witness == pytest.approx(want.witness, rel=1e-12, abs=0.0)
+                    continue
+                assert_same_verdict(got, want, (split, squeeze), iterations=local.passive)
+                compared += want.method is Method.ITERATIVE
+    assert compared > 5
 
 
 def test_iterative_inconclusive_when_budget_exhausted(monkeypatch):

@@ -191,11 +191,13 @@ def test_embed_output_is_a_read_only_copy():
 
 
 def test_layout_caches_are_bounded():
-    for cached in (core.two_mode_register, core._selection,
+    for cached in (core._selection,
                    transforms._circular_register, transforms._extended_register,
                    transforms._qplate_layout):
         assert cached.cache_info().maxsize == 64
+    # a function of no arguments caches one result
     assert two_mode_register() is two_mode_register()
+    assert core.two_mode_register.cache_info().currsize == 1
     state = make_standard_form(EXP)
     assert (quarter_waveplate_relabel(state).register
             is quarter_waveplate_relabel(state).register)
