@@ -339,12 +339,11 @@ def _gklc(gamma, m, band, g_inv_a=None):
             floor = np.minimum(floor, w[:, 0]) if it == 1 else w[:, 0]
         else:
             # G > 0, so no floor is negative, and B's floor matters only
-            # where A's passes the norm test; eigh, as on the other route,
-            # gives it the same bits
+            # where A's passes the norm test; no eigenvectors are needed
             need = floor >= norm_c - 1e-12
             if need.any():
                 floor[need] = np.minimum(
-                    floor[need], np.linalg.eigh(b_blk[need] + ij_b)[0][:, 0])
+                    floor[need], np.linalg.eigvalsh(b_blk[need] + ij_b)[:, 0])
         keep = []
         for j, (f, c) in enumerate(zip(floor.tolist(), norm_c.tolist())):
             if f < -ent_eps:

@@ -5,6 +5,11 @@ interleaved quadrature ordering.  Files declaring a different shot-noise
 unit are rejected unless the caller explicitly asks for a rescale; any
 other ordering is rejected outright.  Floats are written with full repr
 precision, so save -> load round-trips are bit-exact.
+
+A state file is written with the bytes of ``json.dumps(doc, indent=2)``
+plus a newline; :func:`_state_text` builds that text itself, which is
+faster than ``json``'s indenting encoder.  JSON files are read as bytes,
+decoded as UTF-8 and parsed with ``json.loads``, in any layout.
 """
 
 import csv
@@ -45,8 +50,31 @@ def state_to_dict(state):
 
 
 def _state_text(state):
-    """A state file's text: :func:`state_to_dict` as indented JSON."""
-    return json.dumps(state_to_dict(state), indent=2) + "\n"
+    """A state file's text: :func:`state_to_dict` as ``json.dumps(..., indent=2)``.
+
+    The text is built here, as ``json`` builds it, because ``indent`` sends
+    ``json`` to its pure-Python encoder.  Numbers are written as ``json``
+    writes them (``repr``; a state's entries are finite), and strings go
+    through ``json``'s escaping.
+    """
+    modes = ",\n".join(
+        f'    {{\n      "tag": {json.dumps(m.tag)},\n'
+        f'      "polarization": {json.dumps(m.polarization)},\n'
+        f'      "oam": {m.oam!r}\n    }}'
+        for m in state.register
+    )
+    mean = ",\n    ".join(map(repr, state.mean.tolist()))
+    cov = ",\n    ".join(
+        "[\n      " + ",\n      ".join(map(repr, row)) + "\n    ]"
+        for row in state.cov.tolist()
+    )
+    return (
+        f'{{\n  "convention": {{\n    "sn": {SHOT_NOISE!r},\n'
+        f'    "ordering": {json.dumps(ORDERING)}\n  }},\n'
+        f'  "register": [\n{modes}\n  ],\n'
+        f'  "mean": [\n    {mean}\n  ],\n'
+        f'  "cov": [\n    {cov}\n  ]\n}}\n'
+    )
 
 
 def _compact_json(doc):
@@ -159,10 +187,19 @@ def state_from_dict(data, require_physical=True, rescale=False, where="state"):
 
 
 def read_json(path):
-    """Decode a UTF-8 JSON file; undecodable content raises ParseError."""
+    """Decode a UTF-8 JSON file; undecodable content raises ParseError.
+
+    The file is read as bytes and decoded as UTF-8 before ``json.loads``
+    (given bytes, ``json`` would also take UTF-16 and UTF-32).  ``\\r\\n``
+    and a lone ``\\r`` become ``\\n``, as text mode reads them, so error
+    positions count lines as a text-mode read does.
+    """
     try:
-        with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+        with open(path, "rb") as handle:
+            text = handle.read().decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import warnings
@@ -14,7 +15,7 @@ from cvmodes import (
     run_pipeline,
     save_state,
 )
-from cvmodes import cli
+from cvmodes import cli, fixtures
 from cvmodes.cli import main
 from cvmodes.fixtures import load_state_fixture
 from cvmodes.io import state_to_dict
@@ -161,6 +162,22 @@ def test_transform_to_stdout_writes_the_bytes_of_the_output_file(
     assert capsys.readouterr().out == ""
     assert main(["transform", source_file, "--config", distribution_cfg]) == 0
     assert capsys.readouterr().out.encode() == out_path.read_bytes()
+
+
+# sha256 of transform's output for the bundled sigma2_exp state and the
+# distribution config; CI checks the console script against it as well
+TRANSFORM_SHA256 = "4eaeb68abd4f75d8421423e2d2f955fbbb9ad8f4732bdcfa397b7c8f6bb4ed47"
+
+
+def test_transform_output_bytes_are_pinned(distribution_cfg, tmp_path, capsys):
+    source = str(Path(fixtures.__file__).with_name("sigma2_exp.json"))
+    out_path = tmp_path / "final.json"
+    assert main(["transform", source, "--config", distribution_cfg]) == 0
+    stdout = capsys.readouterr().out.encode()
+    assert main(["transform", source, "--config", distribution_cfg,
+                 "--output", str(out_path)]) == 0
+    assert hashlib.sha256(stdout).hexdigest() == TRANSFORM_SHA256
+    assert out_path.read_bytes() == stdout
 
 
 STATE_COMMANDS = {

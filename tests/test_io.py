@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from oracles import random_mixed_cov
 
 from cvmodes import (
     GaussianState,
@@ -15,7 +16,7 @@ from cvmodes import (
 )
 from cvmodes.errors import ConventionMismatch, ParseError, PhysicalityViolation
 from cvmodes.fixtures import load_matrix_fixture, load_state_fixture
-from cvmodes.io import parse_register_spec, state_to_dict
+from cvmodes.io import _state_text, parse_register_spec, read_json, state_to_dict
 
 EXP = StandardFormParams(0.72, 0.72, 0.51, -0.51)
 
@@ -32,6 +33,47 @@ def test_round_trip_is_bit_exact(tmp_path):
     assert np.array_equal(loaded.cov, state.cov)
     assert np.array_equal(loaded.mean, state.mean)
     assert loaded.register == state.register
+
+
+def _indented_json(state):
+    """The reference state-file text: json's own indented encoder."""
+    return json.dumps(state_to_dict(state), indent=2) + "\n"
+
+
+# non-ASCII, quotes, backslashes, control characters and a lone surrogate
+ODD_TAGS = ("é", 'say "hi"', "back\\slash", "snow\u2603\n\t", "\x00\x1f",
+            "\U0001d49c", "\ud800", "/")
+
+
+def _assert_state_file_bytes(state, path):
+    save_state(state, path)
+    expected = _indented_json(state)
+    assert _state_text(state) == expected
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_state_file_bytes_are_json_indented_by_two(tmp_path, n):
+    rng = np.random.default_rng(900 + n)
+    reg = ModeRegister(tuple(
+        ModeLabel("HVLR"[k % 4], int(rng.integers(-5, 6)),
+                  ODD_TAGS[k] if k % 2 else f"m{k}")
+        for k in range(n)))
+    state = GaussianState(reg, rng.normal(size=2 * n), random_mixed_cov(rng, n))
+    _assert_state_file_bytes(state, tmp_path / "state.json")
+
+
+def test_state_file_bytes_of_extreme_entries(tmp_path):
+    extremes = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e300,
+                1.7976931348623157e308, 1e16, 1e-7, 0.1, 12345678901234567.0]
+    n = 6
+    cov = np.resize(np.array(extremes), (2 * n, 2 * n))
+    reg = ModeRegister(tuple(ModeLabel("H", k, tag) for k, tag in enumerate(ODD_TAGS[:n])))
+    state = GaussianState(reg, np.resize(np.array(extremes[::-1]), 2 * n), cov)
+    _assert_state_file_bytes(state, tmp_path / "state.json")
+    assert np.array_equal(load_state(tmp_path / "state.json", require_physical=False).cov,
+                          cov)
+    assert "-0.0," in _state_text(state) and "5e-324" in _state_text(state)
 
 
 def test_fixture_sigma2_exp_matches_source():
@@ -232,3 +274,59 @@ def test_malformed_files_are_a_parse_error(tmp_path, name, content):
     if name in NOT_NUMBERS:
         (field,) = NOT_NUMBERS[name]
         assert field in str(info.value) and "is not a number" in str(info.value)
+
+
+def _text_mode_read_json(path):
+    """The reference reader: the file opened in text mode, universal newlines."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except json.JSONDecodeError as exc:
+        raise ParseError(
+            f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+
+
+def _outcome(reader, path):
+    try:
+        return "value", reader(path)
+    except ParseError as exc:
+        return type(exc), str(exc)
+
+
+GOOD_DOC = '{\n  "a": [1, 2.5, "x\\u00e9"],\n  "b": {"c": null}\n}\n'
+BAD_LINE_3 = '{\n  "a": 1,\n  "b": ,\n  "c": 3\n}\n'
+
+
+READ_CASES = {
+    "lf.json": GOOD_DOC.encode(),
+    "crlf.json": GOOD_DOC.replace("\n", "\r\n").encode(),
+    "cr.json": GOOD_DOC.replace("\n", "\r").encode(),
+    "mixed_newlines.json": b'{"a":\r\n1,\r"b":\n2,\n\r"c": 3}',
+    "crlf_error_line_3.json": BAD_LINE_3.replace("\n", "\r\n").encode(),
+    "cr_error_line_3.json": BAD_LINE_3.replace("\n", "\r").encode(),
+    "cr_in_string.json": b'{"a": "x\ry"}',
+    "utf8.json": '{"tag": "\u00e9\u2603"}'.encode(),
+    "bom.json": b"\xef\xbb\xbf" + GOOD_DOC.encode(),
+    "invalid_utf8.json": b'{"a": "\xff\xfe"}',
+    "utf16.json": GOOD_DOC.encode("utf-16"),
+    "utf16le.json": GOOD_DOC.encode("utf-16-le"),
+    "truncated.json": GOOD_DOC[:20].encode(),
+    "empty.json": b"",
+    "deep.json": b"[" * 100_000,
+    "long_int.json": b"[" + b"7" * 5000 + b"]",
+}
+
+
+@pytest.mark.parametrize("name", READ_CASES)
+def test_read_json_matches_the_text_mode_reader(tmp_path, name):
+    path = tmp_path / name
+    path.write_bytes(READ_CASES[name])
+    expected = _outcome(_text_mode_read_json, path)
+    assert _outcome(read_json, path) == expected
+    if "error_line_3" in name:
+        assert expected[0] is ParseError and ": line 3, column 8: " in expected[1]
+    if name.startswith("utf16"):
+        assert expected[0] is ParseError
