@@ -147,11 +147,16 @@ def _i_symplectic_form(n):
 # states
 # ---------------------------------------------------------------------------
 
-def _frozen_array(values, shape, what):
+def _float_array(values, what):
+    """``values`` as a new float array; non-numbers or ragged lists: DimensionMismatch."""
     try:
-        arr = np.array(values, dtype=float)
+        return np.array(values, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DimensionMismatch(f"{what} is not an array of numbers: {exc}") from exc
+
+
+def _frozen_array(values, shape, what):
+    arr = _float_array(values, what)
     if arr.shape != shape:
         raise DimensionMismatch(f"{what} must have shape {shape}, got {arr.shape}")
     if not np.isfinite(arr).all():

@@ -10,10 +10,12 @@
   entries; carries a ``typo_cells`` annotation for the one cell that
   breaks symmetry (the closed form forces 0 there).
 
-The files are package data, so each is read and decoded once per
-process.  Every loader call still returns fresh objects: a new state, a
-new writable matrix and annotations that share nothing with the decoded
-file, so a caller that changes them changes no later load.
+The files are package data, so each is read, decoded, checked and
+measured once per process.  Every loader call still returns fresh
+objects: a new state on the fixture's read-only arrays, which every
+state loaded from that fixture shares, or a new writable copy of the
+matrix and annotations that share nothing with the decoded file, so a
+caller that changes them changes no later load.
 """
 
 from functools import cache
@@ -21,6 +23,7 @@ from importlib import resources
 
 import numpy as np
 
+from ..core import _trusted
 from ..errors import ParseError
 from ..io import read_json, state_from_dict
 
@@ -32,8 +35,21 @@ _DIRECTORY = resources.files(__package__)
 
 @cache
 def _read(name):
-    """The decoded file; shared by every caller, so nothing may write to it."""
-    return read_json(_DIRECTORY.joinpath(f"{name}.json"))
+    """The checked fixture, shared by every caller, so nothing may write to it.
+
+    A state fixture is the state :func:`~cvmodes.io.state_from_dict`
+    builds, with its validity report and photon total and purity already
+    kept; a matrix fixture is ``(matrix, annotations)``, the matrix
+    read-only.
+    """
+    data = read_json(_DIRECTORY.joinpath(f"{name}.json"))
+    if name in STATE_FIXTURES:
+        state = state_from_dict(data, where=f"fixture {name}")
+        state._facts  # measured once, kept with the report
+        return state
+    matrix = np.array(data.pop("cov"), dtype=float)
+    matrix.flags.writeable = False
+    return matrix, data
 
 
 def _fresh(value):
@@ -55,7 +71,8 @@ def load_state_fixture(name):
         raise ParseError(
             f"unknown state fixture {name!r}; available: {STATE_FIXTURES}"
         )
-    return state_from_dict(_read(name), where=f"fixture {name}")
+    state = _read(name)
+    return _trusted(state.register, state.mean, state.cov, kept=state.__dict__)
 
 
 def load_matrix_fixture(name):
@@ -64,7 +81,5 @@ def load_matrix_fixture(name):
         raise ParseError(
             f"unknown matrix fixture {name!r}; available: {MATRIX_FIXTURES}"
         )
-    data = _read(name)
-    matrix = np.array(data["cov"], dtype=float)
-    meta = {k: _fresh(v) for k, v in data.items() if k != "cov"}
-    return matrix, meta
+    matrix, meta = _read(name)
+    return matrix.copy(), _fresh(meta)

@@ -25,12 +25,14 @@ from .core import (
     ModeLabel,
     ModeRegister,
     StandardFormParams,
+    _float_array,
     _trusted,
     make_standard_form,
     symplectic_form,
 )
 from .errors import (
     BadPolarization,
+    DimensionMismatch,
     NonSymplectic,
     NotCircular,
     RegisterMismatch,
@@ -45,8 +47,10 @@ TOL_SYMPLECTIC = 1e-12
 class SymplecticTransform:
     """Linear phase-space map between two equally sized registers.
 
-    Symplecticity is verified at construction.  ``passive`` is true when
-    the matrix is also orthogonal; passive transforms conserve the total
+    Symplecticity is verified at construction: non-numbers or a ragged
+    matrix raise DimensionMismatch, a wrong shape, a non-finite entry or a
+    non-symplectic matrix NonSymplectic.  ``passive`` is true when the
+    matrix is also orthogonal; passive transforms conserve the total
     photon number.
     """
 
@@ -59,7 +63,7 @@ class SymplecticTransform:
         m = len(self.input_register)
         if len(self.output_register) != m:
             raise RegisterMismatch("input and output registers differ in size")
-        mat = np.array(self.matrix, dtype=float)
+        mat = _float_array(self.matrix, "matrix")
         if mat.shape != (2 * m, 2 * m):
             raise NonSymplectic(
                 f"matrix shape {mat.shape} does not match {m}-mode registers"
@@ -102,9 +106,22 @@ def identity_transform(register):
 
 
 def phase_rotation(register, angles):
-    """Single-mode phase rotations by ``angles`` (scalar or one per mode)."""
+    """Single-mode phase rotations by ``angles`` (scalar or one per mode).
+
+    Other shapes, and angles that are not numbers, raise DimensionMismatch;
+    a non-finite angle raises NonSymplectic, as a non-finite matrix does.
+    """
     n = len(register)
-    angles = np.broadcast_to(np.asarray(angles, dtype=float), (n,))
+    angles = _float_array(angles, "angles")
+    try:
+        angles = np.broadcast_to(angles, (n,))
+    except ValueError as exc:
+        raise DimensionMismatch(
+            f"angles must be one number or one per mode of {n}, "
+            f"got shape {angles.shape}"
+        ) from exc
+    if not np.isfinite(angles).all():
+        raise NonSymplectic("angles are not all finite")
     s = np.zeros((2 * n, 2 * n))
     for k, th in enumerate(angles):
         c, sn_ = math.cos(th), math.sin(th)

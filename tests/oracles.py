@@ -96,6 +96,39 @@ def sigma4_reference(a, b, c1, c2, sn=SN):
     return m
 
 
+def distribution_weights(delta):
+    """Weight of each source mode on q-plate outputs 1 and 2 at retardation delta.
+
+    (cos(delta/2), sin(delta/2)) in absolute value, except that delta = 0
+    and delta = pi (mod 2pi) give exact zeros, which floating-point cos
+    and sin do not.
+    """
+    delta = float(delta) % (2.0 * np.pi)
+    return (0.0 if delta == np.pi else abs(np.cos(delta / 2.0)),
+            0.0 if delta == 0.0 else abs(np.sin(delta / 2.0)))
+
+
+def distributed_status(side_a, side_b, delta):
+    """Exact status of a split of the distributed opo state (a1, a2, b1, b2).
+
+    For a two-mode squeezed source with r > 0 and efficiency eta > 0 the
+    q-plate puts weight ``distribution_weights(delta)`` of beam a on
+    (a1, a2) and of beam b on (b1, b2).  Mode k belongs to beam "ab"[k // 2]
+    at output k % 2.  A split (or pair) is entangled exactly when one side
+    holds a mode of one beam and the other side a mode of the other beam,
+    both with nonzero weight; otherwise it is separable.
+    """
+    weights = distribution_weights(delta)
+
+    def beams(side):
+        return {"ab"[k // 2] for k in side if weights[k % 2] != 0.0}
+
+    a_beams, b_beams = beams(side_a), beams(side_b)
+    entangled = ("a" in a_beams and "b" in b_beams) or (
+        "b" in a_beams and "a" in b_beams)
+    return "entangled" if entangled else "separable"
+
+
 def haar_passive(rng, n):
     """Haar-random passive symplectic map of n modes, in (X..., Y...) order."""
     z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))

@@ -180,6 +180,24 @@ def test_transform_output_bytes_are_pinned(distribution_cfg, tmp_path, capsys):
     assert out_path.read_bytes() == stdout
 
 
+# sha256 of analyze's JSON report on that output: the bytes of the reproduce
+# run's report (REPRODUCE_REPORT_JSON_SHA256 in test_pipeline.py); CI checks
+# the console script against it as well
+ANALYZE_SHA256 = "dd3f88833d891b5834be74175e98136e9fab0bb7007e950ba43a306beb5bf45a"
+
+
+def test_analyze_of_the_transformed_fixture_keeps_its_bytes(
+        distribution_cfg, tmp_path, capsys):
+    source = str(Path(fixtures.__file__).with_name("sigma2_exp.json"))
+    out_path = tmp_path / "output.json"
+    assert main(["transform", source, "--config", distribution_cfg,
+                 "--output", str(out_path)]) == 0
+    capsys.readouterr()
+    assert main(["--format", "json", "analyze", str(out_path)]) == 0
+    stdout = capsys.readouterr().out.encode()
+    assert hashlib.sha256(stdout).hexdigest() == ANALYZE_SHA256
+
+
 STATE_COMMANDS = {
     "validate": [],
     "transform": ["--config", "CONFIG", "--output", "OUT"],

@@ -51,6 +51,7 @@ from cvmodes.errors import (
 )
 
 from oracles import (
+    distributed_status,
     gklc_reference,
     haar_passive,
     omega_kron,
@@ -989,6 +990,39 @@ def test_pairwise_map_distributed_pattern():
     for i, j in [(1, 1), (0, 9), (-1, 2), (1.0, 2), (True, 2), ("1", 2)]:
         with pytest.raises(IndexOutOfRange):
             report.pair(i, j)
+
+
+def distribution_grid(rng, points=240):
+    """Seeded (r, eta, delta) points of the opo distribution pipeline.
+
+    Every 8th point is pure (eta = 1); every 4th sits at a special delta
+    (0, pi/2, pi, 3pi/2); the others are at least 0.2 from 0, pi and 2pi.
+    """
+    special = (0.0, np.pi / 2.0, np.pi, 3.0 * np.pi / 2.0)
+    for k in range(points):
+        r = rng.uniform(0.1, 2.0)
+        eta = 1.0 if k % 8 == 0 else rng.uniform(0.1, 1.0)
+        if k % 4 == 0:
+            delta = special[rng.integers(len(special))]
+        else:
+            delta = rng.uniform(0.0, 2.0 * np.pi)
+            while min(abs(delta - c) for c in (0.0, np.pi, 2.0 * np.pi)) < 0.2:
+                delta = rng.uniform(0.0, 2.0 * np.pi)
+        yield r, eta, delta
+
+
+def test_every_distributed_verdict_matches_the_exact_map():
+    checked = 0
+    for r, eta, delta in distribution_grid(np.random.default_rng(21)):
+        report = run_pipeline(distribution_config(
+            source={"kind": "opo", "r": r, "eta": eta}, delta=delta)).report
+        splits = [((i,), (j,), v) for (i, j), v in report.pairwise.items()]
+        splits += [(s.side_a, s.side_b, v) for s, v in report.bipartitions]
+        for side_a, side_b, verdict in splits:
+            expected = distributed_status(side_a, side_b, delta)
+            assert verdict.status.value == expected, (r, eta, delta, side_a, side_b)
+        checked += len(splits)
+    assert checked == 240 * (6 + 7)
 
 
 def test_pairwise_map_vacuum_all_separable():

@@ -3,6 +3,7 @@ import inspect
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from cvmodes.errors import (
     PhysicalityViolation,
     PipelineStepError,
 )
+from cvmodes.io import load_state
 from cvmodes.pipeline import PipelineConfig, reproduce_paper_json, reproduce_paper_text
 
 EXP = StandardFormParams(0.72, 0.72, 0.51, -0.51)
@@ -147,16 +149,20 @@ def test_extreme_squeezing_reports_no_false_entanglement():
         assert Status.ENTANGLED not in statuses
 
 
-def test_reproduce_paper_computes_one_heisenberg_floor_per_state(monkeypatch):
+def test_reproduce_paper_computes_one_heisenberg_floor_per_state(
+        monkeypatch, fresh_fixture_cache):
     calls = []
     floor = core.min_heisenberg_eigenvalue
     monkeypatch.setattr(core, "min_heisenberg_eigenvalue",
                         lambda cov: calls.append(cov) or floor(cov))
     reproduce_paper()
-    # the loaded source, then one stack of the outputs of embed, reorder and
-    # q-plate; the waveplate relabel keeps its input's report
+    # the source, checked once per process when its fixture is first read,
+    # then one stack of the outputs of embed, reorder and q-plate; the
+    # waveplate relabel keeps its input's report
     assert [cov.shape for cov in calls] == [(4, 4), (3, 8, 8)]
-    assert sum(len(cov) if cov.ndim == 3 else 1 for cov in calls) == 4
+    calls.clear()
+    reproduce_paper()
+    assert [cov.shape for cov in calls] == [(3, 8, 8)]
 
 
 def test_relabel_step_keeps_its_input_facts(monkeypatch):
@@ -518,3 +524,25 @@ def test_changing_a_loaded_matrix_fixture_changes_no_later_load(fresh_fixture_ca
     assert json.dumps(again_meta, sort_keys=True) == expected_meta
     assert (hashlib.sha256(reproduce_paper_json(reproduce_paper())).hexdigest()
             == REPRODUCE_JSON_SHA256)
+
+
+def _state_bits(state):
+    # everything a loaded state carries, kept facts included, as exact bits
+    return (state.register, state.mean.tobytes(), state.cov.tobytes(),
+            validate(state), repr(state._facts))
+
+
+@pytest.mark.parametrize("name", fixtures.STATE_FIXTURES)
+def test_loaded_states_are_fresh_read_only_and_checked_once(name, fresh_fixture_cache):
+    one, two = fixtures.load_state_fixture(name), fixtures.load_state_fixture(name)
+    assert one is not two and one == two
+    for state in (one, two):
+        for array in (state.mean, state.cov):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+    assert validate(one) == validate(two)
+    # the kept report and facts are those a state built from the file computes
+    path = Path(fixtures.__file__).with_name(f"{name}.json")
+    assert _state_bits(one) == _state_bits(load_state(path))
+    fixtures._read.cache_clear()
+    assert _state_bits(fixtures.load_state_fixture(name)) == _state_bits(two)

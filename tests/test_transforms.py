@@ -32,6 +32,7 @@ from cvmodes import core, transforms
 from cvmodes.transforms import SymplecticTransform
 from cvmodes.errors import (
     BadPolarization,
+    DimensionMismatch,
     DuplicateLabel,
     NonSymplectic,
     NotAPermutation,
@@ -77,6 +78,16 @@ def test_transform_rejects_registers_and_matrices_of_other_sizes():
         SymplecticTransform(np.eye(4), reg, three)
     with pytest.raises(NonSymplectic, match=r"shape \(6, 6\) does not match 2-mode"):
         SymplecticTransform(np.eye(6), reg, reg)
+
+
+def test_transform_inputs_that_are_not_arrays_of_numbers():
+    reg = two_mode_register()
+    with pytest.raises(DimensionMismatch, match="matrix is not an array of numbers"):
+        SymplecticTransform([["a"] * 4] * 4, reg, reg)
+    with pytest.raises(DimensionMismatch, match="matrix is not an array of numbers"):
+        SymplecticTransform([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0]] * 2, reg, reg)
+    with pytest.raises(DimensionMismatch, match="one number or one per mode of 2"):
+        phase_rotation(reg, [1, 2, 3])
 
 
 def test_identity_apply_is_noop():
@@ -477,6 +488,12 @@ def test_phase_rotation_is_passive_and_preserves_vacuum():
     assert t.passive
     out = apply(t, vacuum_state(reg))
     assert np.allclose(out.cov, 0.5 * np.eye(4), atol=1e-15)
+
+
+def test_phase_rotation_refuses_non_finite_angles():
+    for bad in (np.nan, np.inf, [0.3, -np.inf]):
+        with pytest.raises(NonSymplectic, match="angles are not all finite"):
+            phase_rotation(two_mode_register(), bad)
 
 
 # -- parametric-oscillator source -------------------------------------------------
