@@ -27,6 +27,7 @@ from .errors import (
     NotAPermutation,
     NumericalFailure,
     PhysicalityViolation,
+    RegisterMismatch,
 )
 
 SHOT_NOISE = 0.5
@@ -77,7 +78,11 @@ class ModeLabel:
 
 @dataclass(frozen=True)
 class ModeRegister:
-    """Ordered mode list; position k owns quadratures (2k, 2k+1)."""
+    """Ordered mode list; position k owns quadratures (2k, 2k+1).
+
+    Every mode must be a :class:`ModeLabel` (else RegisterMismatch), and
+    the labels distinct (else DuplicateLabel).
+    """
 
     modes: tuple
 
@@ -86,6 +91,9 @@ class ModeRegister:
         object.__setattr__(self, "modes", modes)
         if len(modes) < 1:
             raise ValueError("register needs at least one mode")
+        for m in modes:
+            if not isinstance(m, ModeLabel):
+                raise RegisterMismatch(f"register mode {m!r} is not a ModeLabel")
         triples = [(m.polarization, m.oam, m.tag) for m in modes]
         if len(set(triples)) != len(triples):
             raise DuplicateLabel(f"register labels are not distinct: {triples}")
@@ -109,6 +117,11 @@ class ModeRegister:
             if m.tag == tag:
                 return k
         raise IndexOutOfRange(f"no mode tagged {tag!r} in register {self.tags}")
+
+
+def _check_register(register):
+    if not isinstance(register, ModeRegister):
+        raise RegisterMismatch(f"register {register!r} is not a ModeRegister")
 
 
 @cache
@@ -169,9 +182,10 @@ def _frozen_array(values, shape, what):
 class GaussianState:
     """Gaussian state: register, quadrature mean vector, covariance matrix.
 
-    Construction copies the arrays and checks dimensions and finiteness
-    only: non-numbers or a wrong shape raise DimensionMismatch, a NaN or
-    infinite entry raises PhysicalityViolation.  This gate is for outside
+    Construction copies the arrays and checks types, dimensions and
+    finiteness only: a register that is not a ModeRegister raises
+    RegisterMismatch, non-numbers or a wrong shape DimensionMismatch, a
+    NaN or infinite entry PhysicalityViolation.  This gate is for outside
     input and for computed arrays such as ``S cov S^T``; a state gathered
     or padded from a checked state is built without it (``_trusted``).
     Physicality and symmetry are checked by :func:`validate` (and enforced
@@ -187,6 +201,7 @@ class GaussianState:
     cov: np.ndarray
 
     def __post_init__(self):
+        _check_register(self.register)
         n = len(self.register)
         object.__setattr__(self, "mean", _frozen_array(self.mean, (2 * n,), "mean"))
         object.__setattr__(self, "cov", _frozen_array(self.cov, (2 * n, 2 * n), "cov"))

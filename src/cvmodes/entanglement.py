@@ -183,7 +183,16 @@ def _check_symmetric(sigma):
 
 def _check_positive_definite(sigma):
     """NumericalFailure unless every matrix of ``sigma``, known finite and
-    symmetric, is positive definite."""
+    symmetric, is positive definite.
+
+    This is an eigenvalue test on purpose: a Cholesky factor is no such
+    test at extreme squeezing.  The final 8x8 matrix of the opo source
+    r = 19.9065, eta = 0.0809 through the q-plate at delta = 0.652 has
+    entries up to 7.9e15 and float64 ``eigvalsh`` gives it -0.41, yet
+    numpy factors it; with a failed Cholesky as the gate, the pairwise
+    map and the scan of that state report Entangled
+    (``tests/test_pipeline.py::test_extreme_squeezing_reports_no_false_entanglement``).
+    """
     if (np.linalg.eigvalsh(sigma)[..., 0] <= 0).any():
         raise NumericalFailure("matrix is not positive definite")
 

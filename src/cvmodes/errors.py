@@ -1,8 +1,8 @@
 """Exception hierarchy for the cvmodes package.
 
 Errors on input and numerics derive from :class:`CVModesError`, but bad
-arguments to ``ModeLabel``, ``ModeRegister``, ``QPlateSpec`` and
-``opo_source`` raise ``ValueError``, which the file and config readers and
+arguments to ``ModeLabel``, ``QPlateSpec`` and ``opo_source``, and an empty
+``ModeRegister``, raise ``ValueError``, which the file and config readers and
 ``run_pipeline`` wrap.  Each class carries the process exit code the CLI
 returns for it in ``exit_code``: 2 for bad input (the default), 3 for a
 failed pipeline step, 4 for a numerical failure.
@@ -54,7 +54,13 @@ class NonPositiveDeterminant(CVModesError):
 # -- transforms -------------------------------------------------------------
 
 class RegisterMismatch(CVModesError):
-    """State register differs from the transform's input register."""
+    """A register does not fit where it is used.
+
+    A state register differs from the transform's input register, the
+    register of a state, transform or q-plate is not a ``ModeRegister``,
+    or a register mode (an embedded vacuum label, say) is not a
+    ``ModeLabel``.
+    """
 
 
 class NonSymplectic(CVModesError):

@@ -25,6 +25,7 @@ from .core import (
     ModeLabel,
     ModeRegister,
     StandardFormParams,
+    _check_register,
     _float_array,
     _trusted,
     make_standard_form,
@@ -47,8 +48,9 @@ TOL_SYMPLECTIC = 1e-12
 class SymplecticTransform:
     """Linear phase-space map between two equally sized registers.
 
-    Symplecticity is verified at construction: non-numbers or a ragged
-    matrix raise DimensionMismatch, a wrong shape, a non-finite entry or a
+    Symplecticity is verified at construction: registers that are not
+    ModeRegisters raise RegisterMismatch, non-numbers or a ragged matrix
+    DimensionMismatch, a wrong shape, a non-finite entry or a
     non-symplectic matrix NonSymplectic.  ``passive`` is true when the
     matrix is also orthogonal; passive transforms conserve the total
     photon number.
@@ -60,6 +62,8 @@ class SymplecticTransform:
     passive: bool = field(init=False)
 
     def __post_init__(self):
+        for register in (self.input_register, self.output_register):
+            _check_register(register)
         m = len(self.input_register)
         if len(self.output_register) != m:
             raise RegisterMismatch("input and output registers differ in size")
@@ -236,6 +240,7 @@ def _qplate_layout(shift, register):
     Built once per ``(shift, register)``; a pairing error is raised again
     on every call, since exceptions are not cached.
     """
+    _check_register(register)
     keys = [(m.polarization, m.oam) for m in register]
     pairs = []
     seen = set()
@@ -304,7 +309,18 @@ def qplate_transform(spec, register):
     delta = pi exchanges the pair members (up to a 90-degree phase-space
     rotation).  The returned transform is passive and symplectic for all
     delta.
+
+    A transform is built and checked once per ``(spec, register)``, and
+    equal arguments get the same immutable transform, whose read-only
+    matrix is shared.  Only repeated calls in one process gain from this;
+    a pairing error or a non-finite delta raises on every call, since
+    exceptions are not cached.
     """
+    return _qplate_transform(spec, register)
+
+
+@lru_cache(maxsize=64)
+def _qplate_transform(spec, register):
     pairs, output_register = _qplate_layout(spec.oam_shift, register)
     n = len(register)
     c = math.cos(spec.delta / 2.0)

@@ -5,10 +5,16 @@ from cvmodes import (
     GaussianState,
     ModeLabel,
     ModeRegister,
+    QPlateSpec,
     StandardFormParams,
+    embed_with_vacua,
+    identity_transform,
     make_standard_form,
     mean_photon_number,
+    phase_rotation,
     purity,
+    qplate_pairing,
+    qplate_transform,
     reduce,
     reorder,
     sigma4_closed_form,
@@ -27,6 +33,7 @@ from cvmodes.errors import (
     NonPositiveDeterminant,
     NotAPermutation,
     PhysicalityViolation,
+    RegisterMismatch,
 )
 from cvmodes.fixtures import load_matrix_fixture
 
@@ -67,6 +74,29 @@ def test_register_needs_a_mode_and_finds_only_its_own_tags():
         ModeRegister(())
     with pytest.raises(IndexOutOfRange, match="no mode tagged 'c'"):
         two_mode_register().index("c")
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ModeRegister(("a", "b")), "register mode 'a' is not a ModeLabel"),
+    (lambda: ModeRegister((ModeLabel("H", 0, "a"), None)),
+     "register mode None is not a ModeLabel"),
+    (lambda: GaussianState("ab", np.zeros(4), np.eye(4)),
+     "register 'ab' is not a ModeRegister"),
+    (lambda: GaussianState(two_mode_register().modes, np.zeros(4), np.eye(4)),
+     "is not a ModeRegister"),
+    (lambda: embed_with_vacua(vacuum_state(two_mode_register()), ["x"]),
+     "register mode 'x' is not a ModeLabel"),
+    (lambda: identity_transform("ab"), "register 'ab' is not a ModeRegister"),
+    (lambda: phase_rotation("ab", 0.1), "register 'ab' is not a ModeRegister"),
+    (lambda: qplate_transform(QPlateSpec(0.5, 1.0), "ab"),
+     "register 'ab' is not a ModeRegister"),
+    (lambda: qplate_pairing(QPlateSpec(0.5, 1.0), "ab"),
+     "register 'ab' is not a ModeRegister"),
+])
+def test_registers_of_other_types_are_refused(build, message):
+    with pytest.raises(RegisterMismatch, match=message) as info:
+        build()
+    assert info.value.exit_code == 2
 
 
 def test_mode_label_validation():

@@ -25,7 +25,7 @@ from cvmodes import (
     sigma4_closed_form,
     validate,
 )
-from cvmodes import core, fixtures
+from cvmodes import core, fixtures, transforms
 from cvmodes.errors import (
     NonPositiveDeterminant,
     NumericalFailure,
@@ -510,6 +510,21 @@ def test_fixture_files_are_decoded_once_per_process(fresh_fixture_cache):
     warm = [reproduce_paper_json(reproduce_paper()) for _ in range(2)]
     assert fixtures._read.cache_info().misses == 3
     for output in (cold, *warm):
+        assert hashlib.sha256(output).hexdigest() == REPRODUCE_JSON_SHA256
+
+
+def test_reproduce_paper_builds_its_qplate_transform_once(monkeypatch):
+    built = []
+    symplectic = transforms.SymplecticTransform
+    monkeypatch.setattr(transforms, "SymplecticTransform",
+                        lambda *args: built.append(args) or symplectic(*args))
+    transforms._qplate_transform.cache_clear()
+    try:
+        outputs = [reproduce_paper_json(reproduce_paper()) for _ in range(2)]
+    finally:
+        transforms._qplate_transform.cache_clear()
+    assert [args[0].shape for args in built] == [(8, 8)]
+    for output in outputs:
         assert hashlib.sha256(output).hexdigest() == REPRODUCE_JSON_SHA256
 
 

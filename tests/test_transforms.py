@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -204,7 +205,7 @@ def test_embed_output_is_a_read_only_copy():
 def test_layout_caches_are_bounded():
     for cached in (core._selection,
                    transforms._circular_register, transforms._extended_register,
-                   transforms._qplate_layout):
+                   transforms._qplate_layout, transforms._qplate_transform):
         assert cached.cache_info().maxsize == 64
     # a function of no arguments caches one result
     assert two_mode_register() is two_mode_register()
@@ -393,6 +394,8 @@ def test_qplate_layout_cache_matches_a_fresh_build():
 
 def test_qplate_pairing_errors_raise_on_every_call():
     unpaired = quarter_waveplate_relabel(make_standard_form(EXP)).register
+    register = prepared_state().register
+    cached = transforms._qplate_transform.cache_info().currsize
     for delta in (0.3, 0.3, 1.2):
         with pytest.raises(UnpairedMode):
             qplate_transform(QPlateSpec(0.5, delta), unpaired)
@@ -400,6 +403,38 @@ def test_qplate_pairing_errors_raise_on_every_call():
             qplate_transform(QPlateSpec(0.5, delta), two_mode_register())
         with pytest.raises(UnpairedMode):
             qplate_pairing(QPlateSpec(0.5, delta), unpaired)
+    # so does a non-finite delta, which makes the matrix non-finite
+    for delta in (math.nan, math.nan, math.inf):
+        with pytest.raises(NonSymplectic, match="non-finite"):
+            qplate_transform(QPlateSpec(0.5, delta), register)
+    assert transforms._qplate_transform.cache_info().currsize == cached
+
+
+def test_qplate_transform_is_built_once_per_spec_and_register():
+    # the benchmark's tracer wraps plain functions only
+    assert inspect.isfunction(qplate_transform)
+    register = prepared_state().register
+    first = qplate_transform(QPlateSpec(0.5, np.pi / 2), register)
+    # equal, not identical, arguments give the same transform
+    copy = ModeRegister(tuple(ModeLabel(m.polarization, m.oam, m.tag) for m in register))
+    assert copy == register and copy is not register
+    assert qplate_transform(QPlateSpec(0.5, np.pi / 2), copy) is first
+    assert qplate_transform(QPlateSpec(0.5, np.pi / 2 + 2 * np.pi), register) is first
+    with pytest.raises(ValueError, match="read-only"):
+        first.matrix[0, 0] = 1.0
+    # another delta, another register or another q (here one within the
+    # tolerance of 2q, so the same pairing) each get their own transform
+    others = [
+        qplate_transform(QPlateSpec(0.5, np.pi), register),
+        qplate_transform(QPlateSpec(0.5, np.pi / 2),
+                         reorder(prepared_state(), [1, 0, 3, 2]).register),
+        qplate_transform(QPlateSpec(0.5 + 1e-13, np.pi / 2), register),
+    ]
+    for other in others:
+        assert other is not first
+    assert not np.array_equal(others[0].matrix, first.matrix)
+    assert others[1].input_register != register
+    assert np.array_equal(others[2].matrix, first.matrix)
 
 
 def test_single_mode_marginal_noise_floor_grows():
