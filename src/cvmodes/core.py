@@ -76,27 +76,51 @@ class ModeLabel:
         return f"{self.tag}[{self.polarization},{self.oam}]"
 
 
-@dataclass(frozen=True)
+def _labels(modes):
+    """``modes`` as a tuple of ModeLabels, else RegisterMismatch."""
+    try:
+        modes = tuple(modes)
+    except TypeError as exc:
+        raise RegisterMismatch(
+            f"register modes {modes!r} are not a sequence of ModeLabels") from exc
+    for m in modes:
+        if not isinstance(m, ModeLabel):
+            raise RegisterMismatch(f"register mode {m!r} is not a ModeLabel")
+    return modes
+
+
+@dataclass(frozen=True, eq=False)
 class ModeRegister:
     """Ordered mode list; position k owns quadratures (2k, 2k+1).
 
     Every mode must be a :class:`ModeLabel` (else RegisterMismatch), and
-    the labels distinct (else DuplicateLabel).
+    the labels distinct (else DuplicateLabel).  ``tags`` and the key that
+    equality and hashing compare, the ``(polarization, oam, tag)`` of
+    each mode, are built once, here.  The key is kept, not its hash, so a
+    register loaded from a pickle hashes like a fresh one under any hash
+    seed.
     """
 
     modes: tuple
 
     def __post_init__(self):
-        modes = tuple(self.modes)
+        modes = _labels(self.modes)
         object.__setattr__(self, "modes", modes)
         if len(modes) < 1:
             raise ValueError("register needs at least one mode")
-        for m in modes:
-            if not isinstance(m, ModeLabel):
-                raise RegisterMismatch(f"register mode {m!r} is not a ModeLabel")
-        triples = [(m.polarization, m.oam, m.tag) for m in modes]
-        if len(set(triples)) != len(triples):
-            raise DuplicateLabel(f"register labels are not distinct: {triples}")
+        key = tuple((m.polarization, m.oam, m.tag) for m in modes)
+        if len(set(key)) != len(key):
+            raise DuplicateLabel(f"register labels are not distinct: {list(key)}")
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "tags", tuple(m.tag for m in modes))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
 
     def __len__(self):
         return len(self.modes)
@@ -106,10 +130,6 @@ class ModeRegister:
 
     def __getitem__(self, k):
         return self.modes[k]
-
-    @property
-    def tags(self):
-        return tuple(m.tag for m in self.modes)
 
     def index(self, tag):
         """Position of the mode carrying ``tag``."""
@@ -172,10 +192,14 @@ def _frozen_array(values, shape, what):
     arr = _float_array(values, what)
     if arr.shape != shape:
         raise DimensionMismatch(f"{what} must have shape {shape}, got {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise PhysicalityViolation(f"{what} entries are not all finite")
+    _check_finite(arr, what)
     arr.flags.writeable = False
     return arr
+
+
+def _check_finite(arr, what):
+    if not np.isfinite(arr).all():
+        raise PhysicalityViolation(f"{what} entries are not all finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,8 +210,9 @@ class GaussianState:
     finiteness only: a register that is not a ModeRegister raises
     RegisterMismatch, non-numbers or a wrong shape DimensionMismatch, a
     NaN or infinite entry PhysicalityViolation.  This gate is for outside
-    input and for computed arrays such as ``S cov S^T``; a state gathered
-    or padded from a checked state is built without it (``_trusted``).
+    input; a state gathered or padded from a checked state, or computed
+    from one and checked for finiteness (``S cov S^T``), is built without
+    it (``_trusted``).
     Physicality and symmetry are checked by :func:`validate` (and enforced
     by the constructors that promise physical output), so that diagnostic
     code can still hold and inspect invalid matrices.  That report is
@@ -234,16 +259,24 @@ class GaussianState:
 def _trusted(register, mean, cov, kept=()):
     """A state from arrays made from checked ones: no copy and no second gate.
 
-    ``mean`` and ``cov`` must be finite arrays of the register's shape,
+    ``mean`` and ``cov`` must be finite arrays of the register's shape:
     gathered from or padded around arrays that passed the constructor's
-    gate (padding is zeros and SHOT_NOISE only); they are marked read-only.
+    gate (padding is zeros and SHOT_NOISE only), or computed from them and
+    checked with ``_check_finite``; they are marked read-only.
     ``kept`` is the ``__dict__`` of a state on the same arrays, whose kept
     :attr:`validity` report and photon total and purity the result shares.
     """
     mean.flags.writeable = False
     cov.flags.writeable = False
-    out = object.__new__(GaussianState)
-    out.__dict__.update(kept, register=register, mean=mean, cov=cov)
+    return _record(GaussianState, **dict(kept, register=register, mean=mean, cov=cov))
+
+
+def _record(cls, **fields):
+    """A frozen dataclass ``cls`` of checked fields, built without its
+    ``__init__``; it is equal to, hashes like and prints like the one that
+    ``cls(**fields)`` builds."""
+    out = object.__new__(cls)
+    out.__dict__.update(fields)
     return out
 
 
@@ -267,8 +300,9 @@ class ValidityReport:
 def _report(asym, min_eig):
     # the ValidityReport of a matrix with this asymmetry and Heisenberg floor
     symmetric = asym <= TOL_SYMMETRY
-    return ValidityReport(symmetric, symmetric and min_eig >= -TOL_PHYSICALITY,
-                          min_eig)
+    return _record(ValidityReport, symmetric=symmetric,
+                   physical=symmetric and min_eig >= -TOL_PHYSICALITY,
+                   min_heisenberg_eigenvalue=min_eig)
 
 
 def _measure(states):
@@ -294,13 +328,12 @@ def _measure(states):
             continue
         asyms = np.abs(covs - np.swapaxes(covs, -1, -2)).max(axis=(-2, -1))
         signs, logdets = np.linalg.slogdet(covs)
-        for state, asym, floor, sign, logdet in zip(
+        for state, asym, floor, sign, mu in zip(
                 group, asyms.tolist(), floors.tolist(), signs.tolist(),
-                logdets.tolist()):
+                _purity(n, logdets).tolist()):
             state.__dict__["validity"] = _report(asym, floor)
             if sign > 0:
-                state.__dict__["_facts"] = (total_photon_number(state),
-                                            _purity(n, logdet))
+                state.__dict__["_facts"] = (total_photon_number(state), mu)
 
 
 def vacuum_state(register):
@@ -507,9 +540,10 @@ def purity(state):
         raise NonPositiveDeterminant(
             f"det(cov) is not positive (sign {sign}); matrix is unphysical"
         )
-    return _purity(state.n_modes, logdet)
+    return float(_purity(state.n_modes, logdet))
 
 
 def _purity(n, logdet):
-    # the purity of n modes whose covariance has log-determinant ``logdet``
-    return float(np.exp(-(n * np.log(2.0) + 0.5 * logdet)))
+    # the purity of n modes whose covariance has log-determinant ``logdet``,
+    # or one per entry of an array of them
+    return np.exp(-(n * np.log(2.0) + 0.5 * logdet))

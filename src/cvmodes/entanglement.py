@@ -20,7 +20,7 @@ band below the threshold report Separable rather than falsely Entangled.
 
 import enum
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from itertools import combinations
 
 import numpy as np
@@ -33,6 +33,7 @@ from .core import (
     _heisenberg_floor,
     _i_symplectic_form,
     _mode_indices,
+    _record,
     symplectic_form,
 )
 from .errors import IndexOutOfRange, NumericalFailure, ParseError
@@ -277,21 +278,16 @@ def _decide(cov, table, band, escalate):
             codes[k], iterations[k] = decided
     statuses = list(Status)
     return [
-        _verdict(statuses[c], w, logneg, Method.PPT if it is None else Method.ITERATIVE, it)
+        _verdict(status=statuses[c], witness=w, log_negativity=logneg,
+                 method=Method.PPT if it is None else Method.ITERATIVE, iterations=it)
         for c, w, logneg, it in zip(codes, witness.tolist(),
                                     log_negativity_from_spectrum(spectra).tolist(),
                                     iterations)
     ]
 
 
-def _verdict(status, witness, log_negativity, method, iterations):
-    """An EntanglementVerdict of checked fields, built without the dataclass
-    ``__init__``; it is equal to, hashes like and prints like the one that
-    ``EntanglementVerdict(...)`` builds."""
-    out = object.__new__(EntanglementVerdict)
-    out.__dict__.update(status=status, witness=witness, log_negativity=log_negativity,
-                        method=method, iterations=iterations)
-    return out
+# an EntanglementVerdict of checked fields, given by keyword
+_verdict = partial(_record, EntanglementVerdict)
 
 
 def ppt_verdict(state, bipartition, band=THRESHOLD_BAND):

@@ -20,6 +20,7 @@ from .core import (
     StandardFormParams,
     ValidityReport,
     _measure,
+    _record,
     make_standard_form,
     reorder,
     validate,
@@ -156,8 +157,9 @@ class PipelineResult:
 
 
 def _diag(index, name, state):
-    return StepDiagnostics(index, name, state.register.tags, *state._facts,
-                           validate(state))
+    photons, purity = state._facts
+    return _record(StepDiagnostics, index=index, step=name, tags=state.register.tags,
+                   total_photons=photons, purity=purity, validity=validate(state))
 
 
 def run_pipeline(config, state=None, band=THRESHOLD_BAND):
@@ -210,8 +212,10 @@ def run_pipeline(config, state=None, band=THRESHOLD_BAND):
     bipartitions = ()
     if "scan" in config.analyses:
         bipartitions = tuple(bipartition_scan(state, band=band))
-    report = EntanglementReport(state.register.tags, pairwise, bipartitions)
-    return PipelineResult(state, report, tuple(diagnostics), analyses)
+    report = _record(EntanglementReport, tags=state.register.tags, pairwise=pairwise,
+                     bipartitions=bipartitions)
+    return _record(PipelineResult, final_state=state, report=report,
+                   diagnostics=tuple(diagnostics), analyses=analyses)
 
 
 # The steps before the q-plate do not depend on the arguments of
@@ -239,8 +243,8 @@ def distribution_config(source=None, delta=np.pi / 2.0, q=0.5,
         "steps": [{"op": "qplate", "delta": float(delta), "q": float(q)}],
         "analyses": list(analyses),
     }, where="distribution_config")
-    return PipelineConfig(tail.source, _DISTRIBUTION_STEPS + tail.steps,
-                          tail.analyses)
+    return _record(PipelineConfig, source=tail.source,
+                   steps=_DISTRIBUTION_STEPS + tail.steps, analyses=tail.analyses)
 
 
 # The config of the bundled reference run, parsed once.

@@ -15,18 +15,19 @@ photon number is conserved exactly.
 import math
 import os.path
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
 from .core import (
     SHOT_NOISE,
-    GaussianState,
     ModeLabel,
     ModeRegister,
     StandardFormParams,
+    _check_finite,
     _check_register,
     _float_array,
+    _labels,
     _trusted,
     make_standard_form,
     symplectic_form,
@@ -74,8 +75,9 @@ class SymplecticTransform:
             )
         if not np.isfinite(mat).all():
             raise NonSymplectic("matrix has non-finite entries")
-        omega = symplectic_form(m)
-        dev = np.abs(mat @ omega @ mat.T - omega).max()
+        # the deviations of S Omega S^T from Omega and of S S^T from I
+        dev, ortho_dev = np.abs(np.stack([mat @ symplectic_form(m), mat]) @ mat.T
+                                - _form_and_identity(m)).max(axis=(1, 2)).tolist()
         if dev > TOL_SYMPLECTIC:
             raise NonSymplectic(
                 f"S Omega S^T deviates from Omega by {dev:.3e} "
@@ -83,15 +85,24 @@ class SymplecticTransform:
             )
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
-        ortho_dev = np.abs(mat @ mat.T - np.eye(2 * m)).max()
-        object.__setattr__(self, "passive", bool(ortho_dev <= TOL_SYMPLECTIC))
+        object.__setattr__(self, "passive", ortho_dev <= TOL_SYMPLECTIC)
+
+
+@cache
+def _form_and_identity(m):
+    """Read-only stack of symplectic_form(m) and the identity, built once per m."""
+    out = np.stack([symplectic_form(m), np.eye(2 * m)])
+    out.flags.writeable = False
+    return out
 
 
 def apply(transform, state):
     """Apply a symplectic transform: cov' = S cov S^T, mean' = S mean.
 
     The state register must equal the transform's input register (same
-    labels in the same order); the result carries the output register.
+    labels in the same order); the result carries the output register.  A
+    mean or covariance entry that overflows raises PhysicalityViolation,
+    as the GaussianState constructor does.
     """
     if state.register != transform.input_register:
         raise RegisterMismatch(
@@ -101,7 +112,10 @@ def apply(transform, state):
     s = transform.matrix
     cov = s @ state.cov @ s.T
     cov = 0.5 * (cov + cov.T)
-    return GaussianState(transform.output_register, s @ state.mean, cov)
+    mean = s @ state.mean
+    _check_finite(mean, "mean")
+    _check_finite(cov, "cov")
+    return _trusted(transform.output_register, mean, cov)
 
 
 def identity_transform(register):
@@ -170,9 +184,10 @@ def embed_with_vacua(state, vacuum_labels):
     cov gains a SHOT_NOISE identity block per added mode, the mean is
     zero-padded, and the register is extended at the end.  Use
     :func:`cvmodes.core.reorder` afterwards to interleave positions.
-    A label already in the register raises DuplicateLabel.
+    A label already in the register raises DuplicateLabel, and one that
+    is not a ModeLabel RegisterMismatch.
     """
-    vacuum_labels = tuple(vacuum_labels)
+    vacuum_labels = _labels(vacuum_labels)
     if not vacuum_labels:
         return state
     register = _extended_register(state.register, vacuum_labels)
@@ -203,10 +218,11 @@ def _extended_register(register, labels):
 class QPlateSpec:
     """q-plate parameters: topological charge q and retardation delta.
 
-    2q must be a nonzero integer (the OAM shift per pass).  delta is
-    stored normalized into [0, 2pi); the transform matrix for delta and
-    delta + 2pi differ by a global sign, which is invisible at the
-    covariance level.
+    2q must be a nonzero integer (the OAM shift per pass).  A finite
+    delta is stored normalized into [0, 2pi); the transform matrix for
+    delta and delta + 2pi differ by a global sign, which is invisible at
+    the covariance level.  A non-finite delta is stored as NaN, and
+    :func:`qplate_transform` then raises NonSymplectic on every call.
     """
 
     q: float
@@ -230,6 +246,7 @@ def qplate_pairing(spec, register):
 
     Every mode must be circular and have exactly one partner present.
     """
+    _check_register(register)
     return list(_qplate_layout(spec.oam_shift, register)[0])
 
 
@@ -240,7 +257,6 @@ def _qplate_layout(shift, register):
     Built once per ``(shift, register)``; a pairing error is raised again
     on every call, since exceptions are not cached.
     """
-    _check_register(register)
     keys = [(m.polarization, m.oam) for m in register]
     pairs = []
     seen = set()
@@ -316,6 +332,7 @@ def qplate_transform(spec, register):
     a pairing error or a non-finite delta raises on every call, since
     exceptions are not cached.
     """
+    _check_register(register)
     return _qplate_transform(spec, register)
 
 
@@ -326,13 +343,23 @@ def _qplate_transform(spec, register):
     c = math.cos(spec.delta / 2.0)
     s = math.sin(spec.delta / 2.0)
     mat = np.zeros((2 * n, 2 * n))
-    for i, j in pairs:
-        for p, q_ in ((i, j), (j, i)):
-            mat[2 * p, 2 * p] = c
-            mat[2 * p, 2 * q_ + 1] = s
-            mat[2 * p + 1, 2 * p + 1] = c
-            mat[2 * p + 1, 2 * q_] = -s
+    mat.put(_qplate_slots(pairs, n), (c, c, s, -s))
     return SymplecticTransform(mat, register, output_register)
+
+
+@lru_cache(maxsize=64)
+def _qplate_slots(pairs, n):
+    """Flat indices into a (2n, 2n) q-plate matrix on ``pairs``, four per
+    mode p coupled to q: those of (X_p, X_p), (Y_p, Y_p), which hold c,
+    then of (X_p, Y_q), which holds s, and (Y_p, X_q), which holds -s."""
+    slots = []
+    for i, j in pairs:
+        for p, q in ((i, j), (j, i)):
+            x, y = 2 * p * (2 * n), (2 * p + 1) * (2 * n)
+            slots += [x + 2 * p, y + 2 * p + 1, x + 2 * q + 1, y + 2 * q]
+    out = np.array(slots)
+    out.flags.writeable = False
+    return out
 
 
 def sigma4_closed_form(params, sn=SHOT_NOISE):

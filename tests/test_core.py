@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -24,7 +29,7 @@ from cvmodes import (
     vacuum_state,
     validate,
 )
-from cvmodes import core
+from cvmodes import core, transforms
 from cvmodes.errors import (
     DimensionMismatch,
     DuplicateIndex,
@@ -92,11 +97,68 @@ def test_register_needs_a_mode_and_finds_only_its_own_tags():
      "register 'ab' is not a ModeRegister"),
     (lambda: qplate_pairing(QPlateSpec(0.5, 1.0), "ab"),
      "register 'ab' is not a ModeRegister"),
+    # refused before the caches keyed on registers and labels hash them
+    (lambda: ModeRegister(5), "register modes 5 are not a sequence"),
+    (lambda: ModeRegister(None), "register modes None are not a sequence"),
+    (lambda: embed_with_vacua(vacuum_state(two_mode_register()), [["x"]]),
+     r"register mode \['x'\] is not a ModeLabel"),
+    (lambda: qplate_transform(QPlateSpec(0.5, 1.0), [two_mode_register()]),
+     r"register \[ModeRegister\(.*\)\] is not a ModeRegister"),
 ])
 def test_registers_of_other_types_are_refused(build, message):
     with pytest.raises(RegisterMismatch, match=message) as info:
         build()
     assert info.value.exit_code == 2
+
+
+CIRCULAR_MODES = (("L", 0, "a"), ("R", 1, "a~"), ("R", 0, "b"), ("L", -1, "b~"))
+
+
+def test_registers_of_equal_labels_are_one_cache_key():
+    first, second = (ModeRegister(tuple(ModeLabel(*m) for m in CIRCULAR_MODES))
+                     for _ in range(2))
+    assert first is not second and first[0] is not second[0]
+    assert first == second and hash(first) == hash(second)
+    assert first != ModeRegister(tuple(ModeLabel(*m) for m in CIRCULAR_MODES[::-1]))
+    # the second register finds what the first one built
+    assert core._selection(first, (1, 0, 3, 2)) is core._selection(second, (1, 0, 3, 2))
+    assert transforms._qplate_layout(1, first) is transforms._qplate_layout(1, second)
+
+
+# Pickles a register and a state on it under one hash seed; another
+# process loads them under another seed.
+PICKLE_DUMP = """
+import pickle, sys
+import numpy as np
+from cvmodes import GaussianState, ModeLabel, ModeRegister
+register = ModeRegister(tuple(ModeLabel(*m) for m in {modes!r}))
+state = GaussianState(register, np.arange(8.0), np.eye(8))
+{{register: state.validity}}  # hash and measure before pickling
+sys.stdout.buffer.write(pickle.dumps((register, state)))
+"""
+PICKLE_LOAD = """
+import pickle, sys
+import numpy as np
+from cvmodes import GaussianState, ModeLabel, ModeRegister
+register, state = pickle.loads(sys.stdin.buffer.read())
+fresh = ModeRegister(tuple(ModeLabel(*m) for m in {modes!r}))
+assert register == fresh and fresh == register
+assert hash(register) == hash(fresh)
+assert register in {{fresh}} and fresh in {{register}}
+assert state.register is register
+assert state == GaussianState(fresh, np.arange(8.0), np.eye(8))
+"""
+
+
+def test_a_pickled_register_loads_under_another_hash_seed():
+    env = dict(os.environ, PYTHONPATH=str(Path(core.__file__).parents[1]))
+    dumped = subprocess.run(
+        [sys.executable, "-c", PICKLE_DUMP.format(modes=CIRCULAR_MODES)],
+        env=dict(env, PYTHONHASHSEED="1"), capture_output=True, check=True).stdout
+    loaded = subprocess.run(
+        [sys.executable, "-c", PICKLE_LOAD.format(modes=CIRCULAR_MODES)], input=dumped,
+        env=dict(env, PYTHONHASHSEED="2"), capture_output=True)
+    assert loaded.returncode == 0, loaded.stderr.decode()
 
 
 def test_mode_label_validation():

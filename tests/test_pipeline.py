@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -34,7 +35,12 @@ from cvmodes.errors import (
     PipelineStepError,
 )
 from cvmodes.io import load_state
-from cvmodes.pipeline import PipelineConfig, reproduce_paper_json, reproduce_paper_text
+from cvmodes.pipeline import (
+    PipelineConfig,
+    PipelineResult,
+    reproduce_paper_json,
+    reproduce_paper_text,
+)
 
 EXP = StandardFormParams(0.72, 0.72, 0.51, -0.51)
 
@@ -178,6 +184,23 @@ def test_relabel_step_keeps_its_input_facts(monkeypatch):
     # a photon total for each of the four states with their own arrays; the
     # source's purity, while the step outputs take theirs from one stack
     assert sorted(calls) == ["purity"] + ["total_photon_number"] * 4
+
+
+def test_pipeline_records_are_indistinguishable_from_constructed_ones():
+    # distribution_config and run_pipeline build their records without the
+    # dataclass __init__
+    config = distribution_config(source=EXP_SOURCE)
+    result = run_pipeline(config)
+    diagnostics = result.diagnostics
+    for record in (config, result, result.report, *diagnostics, diagnostics[-1].validity):
+        built = type(record)(**{f.name: getattr(record, f.name)
+                                for f in dataclasses.fields(record)})
+        assert record == built and built == record
+        assert repr(record) == repr(built)
+        if not isinstance(record, (PipelineResult, EntanglementReport)):
+            assert hash(record) == hash(built)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.index = 0
 
 
 def test_diagnostics_error_comes_before_a_later_step_error(monkeypatch):

@@ -38,6 +38,7 @@ from cvmodes.errors import (
     NonSymplectic,
     NotAPermutation,
     NotCircular,
+    PhysicalityViolation,
     RegisterMismatch,
     UnpairedMode,
 )
@@ -70,6 +71,29 @@ def test_transform_rejects_non_symplectic():
     for bad in (np.nan, np.inf):
         with pytest.raises(NonSymplectic, match="non-finite"):
             SymplecticTransform(np.full((4, 4), bad), reg, reg)
+
+
+def test_transform_reports_its_deviation_and_whether_it_is_passive():
+    reg = two_mode_register()
+    skewed = phase_rotation(reg, 0.3).matrix + 1e-9 * np.outer([1.0, 2.0, 3.0, 4.0],
+                                                               [4.0, 3.0, 2.0, 1.0])
+    with pytest.raises(NonSymplectic, match=r"^S Omega S\^T deviates from Omega by "
+                       r"1\.485e-08 \(tolerance 1e-12\)$"):
+        SymplecticTransform(skewed, reg, reg)
+    # a squeezer is symplectic but not orthogonal
+    assert SymplecticTransform(np.diag([2.0, 0.5, 1.0, 1.0]), reg, reg).passive is False
+    assert phase_rotation(reg, 0.3).passive is True
+
+
+@pytest.mark.parametrize("mean, cov, what", [
+    (np.zeros(8), np.full((8, 8), 1.7e308), "cov"),
+    (np.full(8, 1.7e308), 0.5 * np.eye(8), "mean"),
+])
+def test_apply_refuses_an_output_that_overflows(mean, cov, what):
+    state = GaussianState(prepared_state().register, mean, cov)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            PhysicalityViolation, match=f"^{what} entries are not all finite$"):
+        apply(qplate_pi2(state.register), state)
 
 
 def test_transform_rejects_registers_and_matrices_of_other_sizes():
@@ -205,7 +229,8 @@ def test_embed_output_is_a_read_only_copy():
 def test_layout_caches_are_bounded():
     for cached in (core._selection,
                    transforms._circular_register, transforms._extended_register,
-                   transforms._qplate_layout, transforms._qplate_transform):
+                   transforms._qplate_layout, transforms._qplate_transform,
+                   transforms._qplate_slots):
         assert cached.cache_info().maxsize == 64
     # a function of no arguments caches one result
     assert two_mode_register() is two_mode_register()
