@@ -82,7 +82,6 @@ def test_transform_reports_its_deviation_and_whether_it_is_passive():
         SymplecticTransform(skewed, reg, reg)
     # a squeezer is symplectic but not orthogonal
     assert SymplecticTransform(np.diag([2.0, 0.5, 1.0, 1.0]), reg, reg).passive is False
-    assert phase_rotation(reg, 0.3).passive is True
 
 
 @pytest.mark.parametrize("mean, cov, what", [
