@@ -20,7 +20,7 @@ band below the threshold report Separable rather than falsely Entangled.
 
 import enum
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 from itertools import combinations
 
 import numpy as np
@@ -29,6 +29,7 @@ from .core import (
     SHOT_NOISE,
     TOL_SYMMETRY,
     _check_subset,
+    _float_array,
     _gather,
     _heisenberg_floor,
     _i_symplectic_form,
@@ -160,12 +161,15 @@ def symplectic_eigenvalues(sigma):
 
     Raises
     ------
+    DimensionMismatch
+        If ``sigma`` is not an array of numbers, such as a string or a
+        ragged list.
     NumericalFailure
         If any entry is not finite, or any matrix of the stack is visibly
         asymmetric or not positive definite (all of which signal an
         invalid input rather than roundoff).
     """
-    sigma = np.asarray(sigma, dtype=float)
+    sigma = _float_array(sigma, "sigma")
     n = sigma.shape[-1] // 2 if sigma.ndim >= 2 else 0
     if n == 0 or sigma.shape[-2:] != (2 * n, 2 * n):
         raise NumericalFailure(f"matrix shape {sigma.shape} is not even-square")
@@ -278,16 +282,12 @@ def _decide(cov, table, band, escalate):
             codes[k], iterations[k] = decided
     statuses = list(Status)
     return [
-        _verdict(status=statuses[c], witness=w, log_negativity=logneg,
-                 method=Method.PPT if it is None else Method.ITERATIVE, iterations=it)
+        _record(EntanglementVerdict, status=statuses[c], witness=w, log_negativity=logneg,
+                method=Method.PPT if it is None else Method.ITERATIVE, iterations=it)
         for c, w, logneg, it in zip(codes, witness.tolist(),
                                     log_negativity_from_spectrum(spectra).tolist(),
                                     iterations)
     ]
-
-
-# an EntanglementVerdict of checked fields, given by keyword
-_verdict = partial(_record, EntanglementVerdict)
 
 
 def ppt_verdict(state, bipartition, band=THRESHOLD_BAND):

@@ -18,6 +18,7 @@ matrix and annotations that share nothing with the decoded file, so a
 caller that changes them changes no later load.
 """
 
+import copy
 from functools import cache
 from importlib import resources
 
@@ -52,19 +53,6 @@ def _read(name):
     return matrix, data
 
 
-def _fresh(value):
-    """A copy of decoded JSON that shares no list or dict with ``value``.
-
-    About a third of the cost of ``copy.deepcopy``, which keeps a memo
-    that plain JSON values never need.
-    """
-    if isinstance(value, list):
-        return [_fresh(item) for item in value]
-    if isinstance(value, dict):
-        return {key: _fresh(item) for key, item in value.items()}
-    return value
-
-
 def load_state_fixture(name):
     """Load one of the bundled state fixtures by name."""
     if name not in STATE_FIXTURES:
@@ -82,4 +70,4 @@ def load_matrix_fixture(name):
             f"unknown matrix fixture {name!r}; available: {MATRIX_FIXTURES}"
         )
     matrix, meta = _read(name)
-    return matrix.copy(), _fresh(meta)
+    return matrix.copy(), copy.deepcopy(meta)

@@ -237,10 +237,13 @@ def distribution_config(source=None, delta=np.pi / 2.0, q=0.5,
     Waveplate to the circular basis, embed the two q-plate partner vacua,
     interleave signal/vacuum pairs, and apply the q-plate.  The output
     register reads (a1, a2, b1, b2).  ``source`` is a config source object.
+    ``delta`` and ``q`` follow a config file's number rule: a bool,
+    string, list, 0-d array or None raises ParseError naming
+    ``distribution_config.steps[0].delta`` or ``.q``.
     """
     tail = PipelineConfig.from_dict({
         "source": source,
-        "steps": [{"op": "qplate", "delta": float(delta), "q": float(q)}],
+        "steps": [{"op": "qplate", "delta": delta, "q": q}],
         "analyses": list(analyses),
     }, where="distribution_config")
     return _record(PipelineConfig, source=tail.source,

@@ -252,10 +252,14 @@ def qplate_pairing(spec, register):
 
 @lru_cache(maxsize=64)
 def _qplate_layout(shift, register):
-    """Pairs and output register of a q-plate with OAM shift ``shift``.
+    """Pairs, output register and matrix slots of a q-plate with OAM
+    shift ``shift``.
 
-    Built once per ``(shift, register)``; a pairing error is raised again
-    on every call, since exceptions are not cached.
+    The slots are read-only flat indices into the (2n, 2n) q-plate
+    matrix, four per mode p coupled to q: those of (X_p, X_p), (Y_p, Y_p),
+    which hold c, then of (X_p, Y_q), which holds s, and (Y_p, X_q), which
+    holds -s.  Built once per ``(shift, register)``; a pairing error is
+    raised again on every call, since exceptions are not cached.
     """
     keys = [(m.polarization, m.oam) for m in register]
     pairs = []
@@ -285,7 +289,15 @@ def _qplate_layout(shift, register):
             raise UnpairedMode(f"mode {mode} partner already claimed")
         seen.update((i, j))
         pairs.append((i, j))
-    return tuple(pairs), _output_register(register, pairs)
+    n = len(register)
+    slots = []
+    for i, j in pairs:
+        for p, q in ((i, j), (j, i)):
+            x, y = 2 * p * (2 * n), (2 * p + 1) * (2 * n)
+            slots += [x + 2 * p, y + 2 * p + 1, x + 2 * q + 1, y + 2 * q]
+    slots = np.array(slots)
+    slots.flags.writeable = False
+    return tuple(pairs), _output_register(register, pairs), slots
 
 
 def _output_register(register, pairs):
@@ -338,28 +350,13 @@ def qplate_transform(spec, register):
 
 @lru_cache(maxsize=64)
 def _qplate_transform(spec, register):
-    pairs, output_register = _qplate_layout(spec.oam_shift, register)
+    _, output_register, slots = _qplate_layout(spec.oam_shift, register)
     n = len(register)
     c = math.cos(spec.delta / 2.0)
     s = math.sin(spec.delta / 2.0)
     mat = np.zeros((2 * n, 2 * n))
-    mat.put(_qplate_slots(pairs, n), (c, c, s, -s))
+    mat.put(slots, (c, c, s, -s))
     return SymplecticTransform(mat, register, output_register)
-
-
-@lru_cache(maxsize=64)
-def _qplate_slots(pairs, n):
-    """Flat indices into a (2n, 2n) q-plate matrix on ``pairs``, four per
-    mode p coupled to q: those of (X_p, X_p), (Y_p, Y_p), which hold c,
-    then of (X_p, Y_q), which holds s, and (Y_p, X_q), which holds -s."""
-    slots = []
-    for i, j in pairs:
-        for p, q in ((i, j), (j, i)):
-            x, y = 2 * p * (2 * n), (2 * p + 1) * (2 * n)
-            slots += [x + 2 * p, y + 2 * p + 1, x + 2 * q + 1, y + 2 * q]
-    out = np.array(slots)
-    out.flags.writeable = False
-    return out
 
 
 def sigma4_closed_form(params, sn=SHOT_NOISE):

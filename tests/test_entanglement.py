@@ -44,6 +44,7 @@ from cvmodes.entanglement import (
 )
 from cvmodes import entanglement
 from cvmodes.errors import (
+    DimensionMismatch,
     DuplicateIndex,
     IndexOutOfRange,
     NumericalFailure,
@@ -209,6 +210,12 @@ def test_symplectic_eigenvalues_reject_non_finite():
 def test_symplectic_eigenvalues_reject_a_shape_that_is_not_even_square(shape):
     with pytest.raises(NumericalFailure, match="not even-square"):
         symplectic_eigenvalues(np.ones(shape))
+
+
+@pytest.mark.parametrize("sigma", ["ab", [[1, 0], [0]], [["x", "y"], ["z", "w"]]])
+def test_symplectic_eigenvalues_reject_what_is_not_an_array_of_numbers(sigma):
+    with pytest.raises(DimensionMismatch, match="sigma is not an array of numbers"):
+        symplectic_eigenvalues(sigma)
 
 
 def test_symplectic_eigenvalues_stack_rejects_one_bad_slice():
@@ -791,7 +798,7 @@ def test_a_decided_verdict_is_indistinguishable_from_a_constructed_one(status, m
     fields = dict(status=status, witness=0.4375, log_negativity=0.1335,
                   method=method, iterations=iterations)
     built = EntanglementVerdict(**fields)
-    decided = entanglement._verdict(**fields)
+    decided = entanglement._record(EntanglementVerdict, **fields)
     assert type(decided) is EntanglementVerdict
     assert decided == built and built == decided
     assert hash(decided) == hash(built)

@@ -395,6 +395,26 @@ def test_config_numbers_are_json_numbers(data, field):
         PipelineConfig.from_dict(data)
 
 
+@pytest.mark.parametrize("field", ["delta", "q"])
+@pytest.mark.parametrize("value", [None, True, "1.0", [1.0], np.array(1.0)])
+def test_distribution_config_numbers_are_json_numbers(field, value):
+    # the keyword arguments follow the rule of a config file
+    with pytest.raises(ParseError,
+                       match=re.escape(f"distribution_config.steps[0].{field}: ")):
+        distribution_config(**{field: value})
+
+
+def test_distribution_config_takes_numpy_numbers():
+    def spec(**kwargs):
+        return distribution_config(**kwargs).steps[-1][1].keywords["spec"]
+
+    for x in (0.6519761634901031, np.pi / 2.0, 7.0):
+        got, want = spec(delta=np.float64(x)), spec(delta=float(x))
+        assert got == want and repr(got) == repr(want)
+    got, want = spec(q=np.int64(1)), spec(q=1.0)
+    assert got == want and repr(got) == repr(want)
+
+
 def test_source_model_value_error_fails_at_step_zero():
     config = distribution_config(source={"kind": "opo", "r": -1.0})
     with pytest.raises(PipelineStepError) as err:

@@ -228,8 +228,7 @@ def test_embed_output_is_a_read_only_copy():
 def test_layout_caches_are_bounded():
     for cached in (core._selection,
                    transforms._circular_register, transforms._extended_register,
-                   transforms._qplate_layout, transforms._qplate_transform,
-                   transforms._qplate_slots):
+                   transforms._qplate_layout, transforms._qplate_transform):
         assert cached.cache_info().maxsize == 64
     # a function of no arguments caches one result
     assert two_mode_register() is two_mode_register()
@@ -386,7 +385,7 @@ def test_qplate_refuses_an_ambiguous_pairing(modes, message):
 
 def qplate_reference(spec, register):
     """q-plate pairs, matrix and output register built without the layout cache."""
-    pairs, out = transforms._qplate_layout.__wrapped__(spec.oam_shift, register)
+    pairs, out, _ = transforms._qplate_layout.__wrapped__(spec.oam_shift, register)
     c, s = math.cos(spec.delta / 2.0), math.sin(spec.delta / 2.0)
     n = len(register)
     mat = np.zeros((2 * n, 2 * n))
