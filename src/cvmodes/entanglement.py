@@ -22,6 +22,7 @@ import enum
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
+from numbers import Real
 
 import numpy as np
 
@@ -210,15 +211,22 @@ def _symplectic_spectrum(sigma):
 
 
 def log_negativity_from_spectrum(nu_tilde):
-    """Sum of max(0, -ln 2 nu) over the last axis: a float, or one per row."""
-    vals = np.asarray(nu_tilde, dtype=float)
+    """Sum of max(0, -ln 2 nu) over the last axis: a float, or one per row.
+
+    Raises
+    ------
+    DimensionMismatch
+        If ``nu_tilde`` is not an array of numbers, such as a string or a
+        ragged list.
+    """
+    vals = _float_array(nu_tilde, "nu_tilde")
     out = np.sum(np.maximum(0.0, -np.log(2.0 * vals)), axis=-1)
     return float(out) if out.ndim == 0 else out
 
 
 def _check_band(band):
-    """ParseError unless ``band`` is finite and in [0, SHOT_NOISE)."""
-    if not 0.0 <= band < SHOT_NOISE:
+    """ParseError unless ``band`` is a real number in [0, SHOT_NOISE)."""
+    if not (isinstance(band, Real) and 0.0 <= band < SHOT_NOISE):
         raise ParseError(
             f"tolerance band must be finite and in [0, {SHOT_NOISE}), got {band!r}"
         )

@@ -53,21 +53,20 @@ def _read(name):
     return matrix, data
 
 
+def _check_name(name, kind, available):
+    if name not in available:
+        raise ParseError(f"unknown {kind} fixture {name!r}; available: {available}")
+
+
 def load_state_fixture(name):
     """Load one of the bundled state fixtures by name."""
-    if name not in STATE_FIXTURES:
-        raise ParseError(
-            f"unknown state fixture {name!r}; available: {STATE_FIXTURES}"
-        )
+    _check_name(name, "state", STATE_FIXTURES)
     state = _read(name)
     return _trusted(state.register, state.mean, state.cov, kept=state.__dict__)
 
 
 def load_matrix_fixture(name):
     """Load a bundled matrix fixture: returns (matrix, annotations dict)."""
-    if name not in MATRIX_FIXTURES:
-        raise ParseError(
-            f"unknown matrix fixture {name!r}; available: {MATRIX_FIXTURES}"
-        )
+    _check_name(name, "matrix", MATRIX_FIXTURES)
     matrix, meta = _read(name)
     return matrix.copy(), copy.deepcopy(meta)

@@ -29,6 +29,7 @@ from .entanglement import (
     THRESHOLD_BAND,
     EntanglementReport,
     Status,
+    _check_band,
     bipartition_scan,
     pairwise_entanglement_map,
 )
@@ -173,8 +174,11 @@ def run_pipeline(config, state=None, band=THRESHOLD_BAND):
 
     The step outputs are measured in one pass after the steps, with one
     stacked Heisenberg floor and one stacked determinant per register
-    size; the earliest failing index is still the one raised.
+    size; the earliest failing index is still the one raised.  A ``band``
+    outside [0, 1/2) raises ParseError before the source is built, even
+    when no analysis reads it.
     """
+    _check_band(band)
     try:
         if state is None:
             if config.source is None:
@@ -182,6 +186,7 @@ def run_pipeline(config, state=None, band=THRESHOLD_BAND):
                     "pipeline has no source and no input state was given"
                 )
             state = config.source()
+        # measured before any step runs: a waveplate relabel shares only kept facts
         diagnostics = [_diag(0, "source", state)]
     except (CVModesError, ValueError) as exc:
         raise PipelineStepError(0, "source", exc) from exc

@@ -14,8 +14,8 @@ photon number is conserved exactly.
 
 import math
 import os.path
-from dataclasses import dataclass, field
-from functools import cache, lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -52,15 +52,12 @@ class SymplecticTransform:
     Symplecticity is verified at construction: registers that are not
     ModeRegisters raise RegisterMismatch, non-numbers or a ragged matrix
     DimensionMismatch, a wrong shape, a non-finite entry or a
-    non-symplectic matrix NonSymplectic.  ``passive`` is true when the
-    matrix is also orthogonal; passive transforms conserve the total
-    photon number.
+    non-symplectic matrix NonSymplectic.
     """
 
     matrix: np.ndarray
     input_register: ModeRegister
     output_register: ModeRegister
-    passive: bool = field(init=False)
 
     def __post_init__(self):
         for register in (self.input_register, self.output_register):
@@ -75,9 +72,8 @@ class SymplecticTransform:
             )
         if not np.isfinite(mat).all():
             raise NonSymplectic("matrix has non-finite entries")
-        # the deviations of S Omega S^T from Omega and of S S^T from I
-        dev, ortho_dev = np.abs(np.stack([mat @ symplectic_form(m), mat]) @ mat.T
-                                - _form_and_identity(m)).max(axis=(1, 2)).tolist()
+        omega = symplectic_form(m)
+        dev = np.abs(mat @ omega @ mat.T - omega).max()
         if dev > TOL_SYMPLECTIC:
             raise NonSymplectic(
                 f"S Omega S^T deviates from Omega by {dev:.3e} "
@@ -85,15 +81,14 @@ class SymplecticTransform:
             )
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "passive", ortho_dev <= TOL_SYMPLECTIC)
 
-
-@cache
-def _form_and_identity(m):
-    """Read-only stack of symplectic_form(m) and the identity, built once per m."""
-    out = np.stack([symplectic_form(m), np.eye(2 * m)])
-    out.flags.writeable = False
-    return out
+    @cached_property
+    def passive(self):
+        """True when the matrix is also orthogonal (S S^T = I within
+        TOL_SYMPLECTIC); passive transforms conserve the total photon number.
+        """
+        mat = self.matrix
+        return bool(np.abs(mat @ mat.T - np.eye(len(mat))).max() <= TOL_SYMPLECTIC)
 
 
 def apply(transform, state):
@@ -152,8 +147,10 @@ def quarter_waveplate_relabel(state):
 
     The waveplate only fixes the basis in which the q-plate coupling is
     written, so the result shares the input's read-only mean, covariance
-    matrix and kept validity report.  Raises BadPolarization if any mode
-    is already circular.
+    matrix and the facts it has kept when the relabel runs (validity
+    report, photon total and purity); a caller that wants them shared
+    measures the input first, as ``run_pipeline`` does with its source.
+    Raises BadPolarization if any mode is already circular.
     """
     register = _circular_register(state.register)
     return _trusted(register, state.mean, state.cov, state.__dict__)

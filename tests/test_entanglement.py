@@ -349,14 +349,25 @@ def test_log_negativity_of_a_stack_equals_its_rows():
         assert stacked.tolist() == rows
 
 
-@pytest.mark.parametrize("band", [float("nan"), float("inf"), -0.001, 0.5])
+@pytest.mark.parametrize("nu_tilde", ["ab", [[0.4, 0.6], [0.5]], [["x"]]])
+def test_log_negativity_rejects_what_is_not_an_array_of_numbers(nu_tilde):
+    with pytest.raises(DimensionMismatch, match="nu_tilde is not an array of numbers"):
+        log_negativity_from_spectrum(nu_tilde)
+
+
+@pytest.mark.parametrize("band", [float("nan"), float("inf"), -0.001, -1.0, 0.5,
+                                  "x", None, [1e-9]])
 def test_every_decider_rejects_a_band_outside_zero_to_shot_noise(band):
     state = distributed_state()
     split = Bipartition((0, 1), (2, 3))
+    # a run whose analyses read no band still refuses one, as the CLI does
+    photons_only = distribution_config(analyses=("photons",))
+    source = make_standard_form(EXP)
     for decide in (lambda: ppt_verdict(state, split, band=band),
                    lambda: iterative_separability(state, split, band=band),
                    lambda: pairwise_entanglement_map(state, band=band),
-                   lambda: bipartition_scan(state, band=band)):
+                   lambda: bipartition_scan(state, band=band),
+                   lambda: run_pipeline(photons_only, state=source, band=band)):
         with pytest.raises(ParseError, match="tolerance band"):
             decide()
 
