@@ -268,7 +268,9 @@ def _trusted(register, mean, cov, kept=()):
     """
     mean.flags.writeable = False
     cov.flags.writeable = False
-    return _record(GaussianState, **dict(kept, register=register, mean=mean, cov=cov))
+    out = object.__new__(GaussianState)
+    out.__dict__.update(kept, register=register, mean=mean, cov=cov)
+    return out
 
 
 def _record(cls, **fields):
@@ -337,7 +339,11 @@ def _measure(states):
 
 
 def vacuum_state(register):
-    """Vacuum over ``register``: zero mean, cov = SHOT_NOISE * identity."""
+    """Vacuum over ``register``: zero mean, cov = SHOT_NOISE * identity.
+
+    A ``register`` that is not a ModeRegister raises RegisterMismatch.
+    """
+    _check_register(register)
     n = len(register)
     return GaussianState(register, np.zeros(2 * n), SHOT_NOISE * np.eye(2 * n))
 

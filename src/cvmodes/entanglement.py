@@ -59,6 +59,9 @@ class Status(str, enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
+_STATUSES = tuple(Status)  # by the status code of _decide
+
+
 class Method(str, enum.Enum):
     PPT = "ppt"
     ITERATIVE = "iterative"
@@ -219,13 +222,19 @@ def log_negativity_from_spectrum(nu_tilde):
         If ``nu_tilde`` is not an array of numbers, such as a string or a
         ragged list.
     """
-    vals = _float_array(nu_tilde, "nu_tilde")
-    out = np.sum(np.maximum(0.0, -np.log(2.0 * vals)), axis=-1)
+    out = _log_negativity(_float_array(nu_tilde, "nu_tilde"))
     return float(out) if out.ndim == 0 else out
+
+
+def _log_negativity(nu_tilde):
+    # log_negativity_from_spectrum of an array of numbers, without a copy
+    return np.sum(np.maximum(0.0, -np.log(2.0 * nu_tilde)), axis=-1)
 
 
 def _check_band(band):
     """ParseError unless ``band`` is a real number in [0, SHOT_NOISE)."""
+    if type(band) is float and 0.0 <= band < SHOT_NOISE:
+        return
     if not (isinstance(band, Real) and 0.0 <= band < SHOT_NOISE):
         raise ParseError(
             f"tolerance band must be finite and in [0, {SHOT_NOISE}), got {band!r}"
@@ -233,8 +242,8 @@ def _check_band(band):
 
 
 def _split_table(n, splits):
-    """Read-only sign masks, 1xN flags, gather orders (side-A quadratures
-    first) and side-A sizes of splits that cover n modes."""
+    """Read-only sign masks, codes if the partial transpose passes (1xN: 1,
+    else 2), gather orders (side A first) and side-A sizes of splits of n modes."""
     for s in splits:
         if sorted(s.side_a + s.side_b) != list(range(n)):
             raise IndexOutOfRange(
@@ -242,12 +251,13 @@ def _split_table(n, splits):
                 f"{n}-mode register"
             )
     masks = _sign_masks(n, [s.side_b for s in splits])
-    one_by_n = np.array([min(len(s.side_a), len(s.side_b)) == 1 for s in splits])
+    passed = np.array([1 if min(len(s.side_a), len(s.side_b)) == 1 else 2
+                       for s in splits])
     order = _gather(n, [s.side_a + s.side_b for s in splits])
     size_a = np.array([len(s.side_a) for s in splits])
-    for table in (masks, one_by_n, size_a):
+    for table in (masks, passed, size_a):
         table.flags.writeable = False
-    return masks, one_by_n, order, size_a
+    return masks, passed, order, size_a
 
 
 def _decide(cov, table, band, escalate):
@@ -270,10 +280,10 @@ def _decide(cov, table, band, escalate):
     """
     _check_band(band)
     _check_symmetric(cov)
-    masks, one_by_n, order, size_a = table
+    masks, passed, order, size_a = table
     spectra = _symplectic_spectrum(cov * masks)
     witness = spectra[:, 0]
-    codes = np.where(witness < SHOT_NOISE - band, 0, np.where(one_by_n, 1, 2)).tolist()
+    codes = np.where(witness < SHOT_NOISE - band, 0, passed).tolist()
     iterations = [None] * len(codes)
     groups = {}
     for k, code in enumerate(codes):
@@ -288,13 +298,11 @@ def _decide(cov, table, band, escalate):
         g_inv_a = None if g_inv is None else g_inv.take(order[group, : 2 * m, : 2 * m])
         for k, decided in zip(group, _gklc(2.0 * cov.take(order[group]), m, band, g_inv_a)):
             codes[k], iterations[k] = decided
-    statuses = list(Status)
     return [
-        _record(EntanglementVerdict, status=statuses[c], witness=w, log_negativity=logneg,
+        _record(EntanglementVerdict, status=_STATUSES[c], witness=w, log_negativity=logneg,
                 method=Method.PPT if it is None else Method.ITERATIVE, iterations=it)
         for c, w, logneg, it in zip(codes, witness.tolist(),
-                                    log_negativity_from_spectrum(spectra).tolist(),
-                                    iterations)
+                                    _log_negativity(spectra).tolist(), iterations)
     ]
 
 

@@ -15,6 +15,7 @@ decoded as UTF-8 and parsed with ``json.loads``, in any layout.
 import csv
 import json
 import math
+import os
 from numbers import Real
 
 import numpy as np
@@ -35,6 +36,8 @@ from .errors import (
 )
 
 ORDERING = "interleaved"
+# the encoder json.dumps(doc, sort_keys=True, separators=(",", ":")) builds per call
+_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def state_to_dict(state):
@@ -79,7 +82,7 @@ def _state_text(state):
 
 def _compact_json(doc):
     """A report's bytes: ``doc`` as one line of JSON with sorted keys."""
-    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    return (_COMPACT.encode(doc) + "\n").encode()
 
 
 def _require(mapping, key, where):
@@ -186,14 +189,23 @@ def state_from_dict(data, require_physical=True, rescale=False, where="state"):
     return _require_physical(state, where) if require_physical else state
 
 
+def _check_path(path):
+    """ParseError unless ``path`` is a str, bytes or os.PathLike: ``open``
+    would take an int or a bool as a file descriptor, and close it."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise ParseError(f"path must be a str, bytes or os.PathLike, got {path!r}")
+
+
 def read_json(path):
     """Decode a UTF-8 JSON file; undecodable content raises ParseError.
 
     The file is read as bytes and decoded as UTF-8 before ``json.loads``
     (given bytes, ``json`` would also take UTF-16 and UTF-32).  ``\\r\\n``
     and a lone ``\\r`` become ``\\n``, as text mode reads them, so error
-    positions count lines as a text-mode read does.
+    positions count lines as a text-mode read does.  A ``path`` that is
+    not a str, bytes or os.PathLike raises ParseError.
     """
+    _check_path(path)
     try:
         with open(path, "rb") as handle:
             text = handle.read().decode("utf-8")
@@ -217,7 +229,11 @@ def load_state(path, require_physical=True, rescale=False):
 
 
 def save_state(state, path):
-    """Write a state file (UTF-8 JSON, full float precision)."""
+    """Write a state file (UTF-8 JSON, full float precision).
+
+    A ``path`` that is not a str, bytes or os.PathLike raises ParseError.
+    """
+    _check_path(path)
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(_state_text(state))
 
@@ -226,8 +242,10 @@ def load_cov_csv(path, register, require_physical=True):
     """Read a bare covariance matrix from CSV; the register comes by flag.
 
     Rows of decimal floats, one matrix row per line; mean is zero and the
-    canonical convention is assumed.
+    canonical convention is assumed.  A ``path`` that is not a str, bytes
+    or os.PathLike raises ParseError.
     """
+    _check_path(path)
     rows = []
     try:
         with open(path, encoding="utf-8", newline="") as handle:

@@ -95,6 +95,17 @@ def _step(step, where):
     )
 
 
+def _analyses(analyses, where):
+    """``analyses`` as a tuple; a name not in ANALYSES raises ParseError."""
+    for name in analyses:
+        if name not in ANALYSES:
+            raise ParseError(
+                f"{where}.analyses: unknown analysis {name!r}; "
+                f"choose from {ANALYSES}"
+            )
+    return tuple(analyses)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """A parsed pipeline config; :meth:`from_dict` reads the JSON shape.
@@ -118,16 +129,11 @@ class PipelineConfig:
         steps, analyses = data.get("steps", []), data.get("analyses", [])
         if not isinstance(steps, list) or not isinstance(analyses, list):
             raise ParseError(f"{where}: 'steps' and 'analyses' must be lists")
-        for name in analyses:
-            if name not in ANALYSES:
-                raise ParseError(
-                    f"{where}.analyses: unknown analysis {name!r}; "
-                    f"choose from {ANALYSES}"
-                )
+        analyses = _analyses(analyses, where)
         return cls(
             source,
             tuple(_step(step, f"{where}.steps[{k}]") for k, step in enumerate(steps)),
-            tuple(analyses),
+            analyses,
         )
 
     @classmethod
@@ -246,13 +252,15 @@ def distribution_config(source=None, delta=np.pi / 2.0, q=0.5,
     string, list, 0-d array or None raises ParseError naming
     ``distribution_config.steps[0].delta`` or ``.q``.
     """
-    tail = PipelineConfig.from_dict({
-        "source": source,
-        "steps": [{"op": "qplate", "delta": delta, "q": q}],
-        "analyses": list(analyses),
-    }, where="distribution_config")
-    return _record(PipelineConfig, source=tail.source,
-                   steps=_DISTRIBUTION_STEPS + tail.steps, analyses=tail.analyses)
+    # parsed in the order, and with the messages, of PipelineConfig.from_dict
+    analyses = tuple(analyses)
+    if source is not None:
+        source = _source(source, "distribution_config.source")
+    analyses = _analyses(analyses, "distribution_config")
+    qplate = _step({"op": "qplate", "delta": delta, "q": q},
+                   "distribution_config.steps[0]")
+    return _record(PipelineConfig, source=source,
+                   steps=_DISTRIBUTION_STEPS + (qplate,), analyses=analyses)
 
 
 # The config of the bundled reference run, parsed once.
@@ -269,11 +277,12 @@ def _fmt(value):
 
 
 def _verdict_dict(verdict):
+    # an enum member's _value_ is its plain str, read without the value property
     return {
-        "status": verdict.status.value,
+        "status": verdict.status._value_,
         "witness": verdict.witness,
         "log_negativity": verdict.log_negativity,
-        "method": verdict.method.value,
+        "method": verdict.method._value_,
         "iterations": verdict.iterations,
     }
 

@@ -114,16 +114,22 @@ def apply(transform, state):
 
 
 def identity_transform(register):
-    """Identity map on ``register``."""
+    """Identity map on ``register``.
+
+    A ``register`` that is not a ModeRegister raises RegisterMismatch.
+    """
+    _check_register(register)
     return SymplecticTransform(np.eye(2 * len(register)), register, register)
 
 
 def phase_rotation(register, angles):
     """Single-mode phase rotations by ``angles`` (scalar or one per mode).
 
+    A ``register`` that is not a ModeRegister raises RegisterMismatch.
     Other shapes, and angles that are not numbers, raise DimensionMismatch;
     a non-finite angle raises NonSymplectic, as a non-finite matrix does.
     """
+    _check_register(register)
     n = len(register)
     angles = _float_array(angles, "angles")
     try:

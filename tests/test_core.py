@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -108,6 +109,23 @@ def test_register_needs_a_mode_and_finds_only_its_own_tags():
 def test_registers_of_other_types_are_refused(build, message):
     with pytest.raises(RegisterMismatch, match=message) as info:
         build()
+    assert info.value.exit_code == 2
+
+
+REGISTER_TAKERS = {
+    "vacuum_state": vacuum_state,
+    "identity_transform": identity_transform,
+    "phase_rotation": lambda register: phase_rotation(register, 0.1),
+}
+
+
+@pytest.mark.parametrize("register", [5, None, "ab", list(two_mode_register())],
+                         ids=["int", "None", "str", "list"])
+@pytest.mark.parametrize("name", sorted(REGISTER_TAKERS))
+def test_register_taking_constructors_refuse_what_is_not_a_register(name, register):
+    message = f"register {register!r} is not a ModeRegister"
+    with pytest.raises(RegisterMismatch, match=re.escape(message)) as info:
+        REGISTER_TAKERS[name](register)
     assert info.value.exit_code == 2
 
 

@@ -1,4 +1,7 @@
+import contextlib
 import json
+import os
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +20,7 @@ from cvmodes import (
 from cvmodes.errors import ConventionMismatch, ParseError, PhysicalityViolation
 from cvmodes.fixtures import load_matrix_fixture, load_state_fixture
 from cvmodes.io import _state_text, parse_register_spec, read_json, state_to_dict
+from cvmodes.pipeline import PipelineConfig
 
 EXP = StandardFormParams(0.72, 0.72, 0.51, -0.51)
 
@@ -330,3 +334,40 @@ def test_read_json_matches_the_text_mode_reader(tmp_path, name):
         assert expected[0] is ParseError and ": line 3, column 8: " in expected[1]
     if name.startswith("utf16"):
         assert expected[0] is ParseError
+
+
+PATH_TAKERS = {
+    "read_json": read_json,
+    "load_state": load_state,
+    "PipelineConfig.from_file": PipelineConfig.from_file,
+    "load_cov_csv": lambda path: load_cov_csv(path, parse_register_spec("a:H:0,b:V:0")),
+    "save_state": lambda path: save_state(make_standard_form(EXP), path),
+}
+
+
+@pytest.mark.parametrize("path", [None, True, 3, 1.5, []], ids=repr)
+@pytest.mark.parametrize("name", sorted(PATH_TAKERS))
+def test_a_path_must_be_a_str_bytes_or_path_like(name, path):
+    # open() would take an int or a bool as a file descriptor and close it
+    message = f"path must be a str, bytes or os.PathLike, got {path!r}"
+    with pytest.raises(ParseError, match=re.escape(message)) as info:
+        PATH_TAKERS[name](path)
+    assert info.value.exit_code == 2
+
+
+@pytest.mark.parametrize("name", sorted(PATH_TAKERS))
+def test_a_file_descriptor_given_as_a_path_stays_open(name):
+    read_fd, write_fd = os.pipe()
+    os.write(write_fd, b"{}")
+    given = write_fd if name == "save_state" else read_fd
+    if given == read_fd:
+        os.close(write_fd)  # a call that read the pipe would reach its end
+    try:
+        with pytest.raises(ParseError, match="path must be"):
+            PATH_TAKERS[name](given)
+        os.fstat(given)  # OSError if the call closed it
+        assert os.read(read_fd, 4) == b"{}"
+    finally:
+        for fd in {read_fd, given}:
+            with contextlib.suppress(OSError):
+                os.close(fd)

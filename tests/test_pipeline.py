@@ -13,6 +13,8 @@ from cvmodes import (
     Bipartition,
     EntanglementReport,
     Method,
+    ModeLabel,
+    ModeRegister,
     StandardFormParams,
     Status,
     bipartition_scan,
@@ -38,6 +40,7 @@ from cvmodes.io import load_state
 from cvmodes.pipeline import (
     PipelineConfig,
     PipelineResult,
+    report_to_dict,
     reproduce_paper_json,
     reproduce_paper_text,
 )
@@ -489,6 +492,42 @@ def test_text_report_shows_the_iterations_of_an_iterative_verdict():
     text = emit_report(report, "text").decode()
     assert f"[iterative]  iterations {verdict.iterations}\n" in text
     assert "iterations" not in emit_report(full_report(), "text").decode()
+
+
+def _scan_report(state):
+    return EntanglementReport(state.register.tags,
+                              pairwise_entanglement_map(state).pairwise,
+                              tuple(bipartition_scan(state)))
+
+
+ODD_TAGS = ("é", '"', "\\", "\x07")
+
+WRITER_REPORTS = {
+    # its 2|2 splits are iterative verdicts, with an int count
+    "iterative": lambda: _scan_report(fixtures.load_state_fixture("vacuum4")),
+    # PPT verdicts only, with no count
+    "ppt": lambda: pairwise_entanglement_map(make_standard_form(EXP)),
+    # tags that JSON escapes
+    "escaped": lambda: _scan_report(core.vacuum_state(ModeRegister(
+        tuple(ModeLabel(p, 0, tag) for p, tag in zip("HVLR", ODD_TAGS))))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WRITER_REPORTS))
+def test_json_report_is_the_bytes_of_json_dumps(kind):
+    report = WRITER_REPORTS[kind]()
+    doc = report_to_dict(report)
+    entries = doc["pairwise"] + doc["bipartitions"]
+    counts = {type(e["iterations"]) for e in entries}
+    assert counts == {"iterative": {int, type(None)}, "ppt": {type(None)},
+                      "escaped": {int, type(None)}}[kind]
+    for entry in entries:
+        assert type(entry["status"]) is str and type(entry["method"]) is str
+    blob = emit_report(report, "json")
+    assert blob == (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    if kind == "escaped":
+        for escape in (rb'"\u00e9"', rb'"\""', rb'"\\"', rb'"\u0007"'):
+            assert escape in blob
 
 
 def test_unknown_report_format():
