@@ -268,9 +268,7 @@ def _trusted(register, mean, cov, kept=()):
     """
     mean.flags.writeable = False
     cov.flags.writeable = False
-    out = object.__new__(GaussianState)
-    out.__dict__.update(kept, register=register, mean=mean, cov=cov)
-    return out
+    return _record(GaussianState, **dict(kept, register=register, mean=mean, cov=cov))
 
 
 def _record(cls, **fields):

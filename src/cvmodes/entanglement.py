@@ -233,9 +233,7 @@ def _log_negativity(nu_tilde):
 
 def _check_band(band):
     """ParseError unless ``band`` is a real number in [0, SHOT_NOISE)."""
-    if type(band) is float and 0.0 <= band < SHOT_NOISE:
-        return
-    if not (isinstance(band, Real) and 0.0 <= band < SHOT_NOISE):
+    if not (isinstance(band, (float, Real)) and 0.0 <= band < SHOT_NOISE):
         raise ParseError(
             f"tolerance band must be finite and in [0, {SHOT_NOISE}), got {band!r}"
         )
