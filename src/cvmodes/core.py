@@ -211,8 +211,8 @@ class GaussianState:
     RegisterMismatch, non-numbers or a wrong shape DimensionMismatch, a
     NaN or infinite entry PhysicalityViolation.  This gate is for outside
     input; a state gathered or padded from a checked state, or computed
-    from one and checked for finiteness (``S cov S^T``), is built without
-    it (``_trusted``).
+    from one or from numbers and checked for finiteness (``S cov S^T``,
+    the standard form), is built without it (``_trusted``).
     Physicality and symmetry are checked by :func:`validate` (and enforced
     by the constructors that promise physical output), so that diagnostic
     code can still hold and inspect invalid matrices.  That report is
@@ -261,8 +261,9 @@ def _trusted(register, mean, cov, kept=()):
 
     ``mean`` and ``cov`` must be finite arrays of the register's shape:
     gathered from or padded around arrays that passed the constructor's
-    gate (padding is zeros and SHOT_NOISE only), or computed from them and
-    checked with ``_check_finite``; they are marked read-only.
+    gate (padding is zeros and SHOT_NOISE only), or computed from them or
+    converted with ``_float_array``, and checked with ``_check_finite``;
+    they are marked read-only.
     ``kept`` is the ``__dict__`` of a state on the same arrays, whose kept
     :attr:`validity` report and photon total and purity the result shares.
     """
@@ -376,16 +377,24 @@ def make_standard_form(params, register=None):
 
     Raises
     ------
+    RegisterMismatch
+        If ``register`` is not a ModeRegister.
+    DimensionMismatch
+        If ``register`` does not have two modes, or a parameter is not a
+        number.
     PhysicalityViolation
         If a parameter is not finite or the matrix violates the
         Heisenberg bound.
     """
     if register is None:
         register = two_mode_register()
+    _check_register(register)
     if len(register) != 2:
         raise DimensionMismatch("standard form is a two-mode constructor")
-    state = GaussianState(register, np.zeros(4), standard_form_matrix(params))
-    return _require_physical(state, params)
+    # the constructor's gate on cov, less its shape check: a built matrix is 4x4
+    cov = _float_array(standard_form_matrix(params), "cov")
+    _check_finite(cov, "cov")
+    return _require_physical(_trusted(register, np.zeros(4), cov), params)
 
 
 def _heisenberg_floor(gamma):
@@ -547,7 +556,10 @@ def purity(state):
     return float(_purity(state.n_modes, logdet))
 
 
+_LN2 = np.log(2.0)
+
+
 def _purity(n, logdet):
     # the purity of n modes whose covariance has log-determinant ``logdet``,
     # or one per entry of an array of them
-    return np.exp(-(n * np.log(2.0) + 0.5 * logdet))
+    return np.exp(-(n * _LN2 + 0.5 * logdet))

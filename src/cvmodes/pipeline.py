@@ -250,10 +250,17 @@ def distribution_config(source=None, delta=np.pi / 2.0, q=0.5,
     register reads (a1, a2, b1, b2).  ``source`` is a config source object.
     ``delta`` and ``q`` follow a config file's number rule: a bool,
     string, list, 0-d array or None raises ParseError naming
-    ``distribution_config.steps[0].delta`` or ``.q``.
+    ``distribution_config.steps[0].delta`` or ``.q``, and ``analyses``
+    that is not an iterable of names ParseError naming
+    ``distribution_config.analyses``.
     """
     # parsed in the order, and with the messages, of PipelineConfig.from_dict
-    analyses = tuple(analyses)
+    try:
+        analyses = tuple(analyses)
+    except TypeError as exc:
+        raise ParseError(
+            f"distribution_config.analyses: not an iterable of names, got {analyses!r}"
+        ) from exc
     if source is not None:
         source = _source(source, "distribution_config.source")
     analyses = _analyses(analyses, "distribution_config")

@@ -16,6 +16,7 @@ import math
 import os.path
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from numbers import Real
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .core import (
     _check_register,
     _float_array,
     _labels,
+    _record,
     _trusted,
     make_standard_form,
     symplectic_form,
@@ -70,17 +72,7 @@ class SymplecticTransform:
             raise NonSymplectic(
                 f"matrix shape {mat.shape} does not match {m}-mode registers"
             )
-        if not np.isfinite(mat).all():
-            raise NonSymplectic("matrix has non-finite entries")
-        omega = symplectic_form(m)
-        dev = np.abs(mat @ omega @ mat.T - omega).max()
-        if dev > TOL_SYMPLECTIC:
-            raise NonSymplectic(
-                f"S Omega S^T deviates from Omega by {dev:.3e} "
-                f"(tolerance {TOL_SYMPLECTIC})"
-            )
-        mat.flags.writeable = False
-        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "matrix", _frozen_symplectic(mat))
 
     @cached_property
     def passive(self):
@@ -89,6 +81,22 @@ class SymplecticTransform:
         """
         mat = self.matrix
         return bool(np.abs(mat @ mat.T - np.eye(len(mat))).max() <= TOL_SYMPLECTIC)
+
+
+def _frozen_symplectic(mat):
+    """``mat``, a (2m, 2m) float array, marked read-only once it is finite
+    and symplectic; else NonSymplectic."""
+    if not np.isfinite(mat).all():
+        raise NonSymplectic("matrix has non-finite entries")
+    omega = symplectic_form(len(mat) // 2)
+    dev = np.abs(mat @ omega @ mat.T - omega).max()
+    if dev > TOL_SYMPLECTIC:
+        raise NonSymplectic(
+            f"S Omega S^T deviates from Omega by {dev:.3e} "
+            f"(tolerance {TOL_SYMPLECTIC})"
+        )
+    mat.flags.writeable = False
+    return mat
 
 
 def apply(transform, state):
@@ -199,7 +207,8 @@ def embed_with_vacua(state, vacuum_labels):
     n = n_old + n_add
     cov = np.zeros((2 * n, 2 * n))
     cov[: 2 * n_old, : 2 * n_old] = state.cov
-    cov[2 * n_old:, 2 * n_old:] = SHOT_NOISE * np.eye(2 * n_add)
+    # the vacuum diagonal: flat entries (k, k), 2n + 1 apart, for k >= 2 n_old
+    cov.reshape(-1)[2 * n_old * (2 * n + 1)::2 * n + 1] = SHOT_NOISE
     mean = np.concatenate([state.mean, np.zeros(2 * n_add)])
     return _trusted(register, mean, cov)
 
@@ -232,11 +241,16 @@ class QPlateSpec:
     delta: float
 
     def __post_init__(self):
-        two_q = 2.0 * self.q
+        # a charge that is not a number fails as a non-finite one does
+        two_q = 2.0 * self.q if isinstance(self.q, (float, Real)) else math.nan
         if (not math.isfinite(two_q) or abs(two_q - round(two_q)) > 1e-12
                 or round(two_q) == 0):
             raise ValueError(f"2q must be a nonzero integer, got q={self.q}")
-        object.__setattr__(self, "delta", float(self.delta) % (2.0 * math.pi))
+        try:
+            delta = float(self.delta)
+        except TypeError as exc:
+            raise ValueError(f"delta must be a number, got {self.delta!r}") from exc
+        object.__setattr__(self, "delta", delta % (2.0 * math.pi))
 
     @property
     def oam_shift(self):
@@ -359,7 +373,8 @@ def _qplate_transform(spec, register):
     s = math.sin(spec.delta / 2.0)
     mat = np.zeros((2 * n, 2 * n))
     mat.put(slots, (c, c, s, -s))
-    return SymplecticTransform(mat, register, output_register)
+    return _record(SymplecticTransform, matrix=_frozen_symplectic(mat),
+                   input_register=register, output_register=output_register)
 
 
 def sigma4_closed_form(params, sn=SHOT_NOISE):
@@ -405,13 +420,13 @@ def opo_source(r, eta=1.0):
         Standard-form state with a = b = sn (eta cosh 2r + 1 - eta) and
         c1 = -c2 = sn eta sinh 2r.
     """
-    if r < 0:
+    if not isinstance(r, (float, Real)) or r < 0:
         raise ValueError(f"squeezing parameter must be >= 0, got {r}")
-    if not 0.0 < eta <= 1.0:
+    if not (isinstance(eta, (float, Real)) and 0.0 < eta <= 1.0):
         raise ValueError(f"efficiency must be in (0, 1], got {eta}")
     try:
         a = SHOT_NOISE * (eta * math.cosh(2.0 * r) + 1.0 - eta)
         c = SHOT_NOISE * eta * math.sinh(2.0 * r)
     except OverflowError as exc:
         raise ValueError(f"squeezing parameter r = {r} overflows cosh(2r)") from exc
-    return make_standard_form(StandardFormParams(a, a, c, -c))
+    return make_standard_form(_record(StandardFormParams, a=a, b=a, c1=c, c2=-c))

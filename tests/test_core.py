@@ -24,6 +24,7 @@ from cvmodes import (
     reduce,
     reorder,
     sigma4_closed_form,
+    standard_form_matrix,
     symplectic_form,
     total_photon_number,
     two_mode_register,
@@ -32,6 +33,7 @@ from cvmodes import (
 )
 from cvmodes import core, transforms
 from cvmodes.errors import (
+    CVModesError,
     DimensionMismatch,
     DuplicateIndex,
     DuplicateLabel,
@@ -249,6 +251,42 @@ def test_standard_form_rejects_unphysical():
 def test_standard_form_needs_two_mode_register():
     with pytest.raises(DimensionMismatch):
         make_standard_form(EXP, register=circular_register(3))
+    for register in (5, "abc", list(circular_register(3))):
+        with pytest.raises(RegisterMismatch, match="is not a ModeRegister"):
+            make_standard_form(EXP, register=register)
+
+
+def _constructor_state(params):
+    return GaussianState(two_mode_register(), np.zeros(4), standard_form_matrix(params))
+
+
+@pytest.mark.parametrize("params", [
+    EXP, StandardFormParams(0.5, 0.5, 0.0, 0.0), StandardFormParams(1, 2, 0, 1),
+    *(StandardFormParams(*random_standard_form(np.random.default_rng(seed)))
+      for seed in range(4)),
+])
+def test_standard_form_is_the_state_the_constructor_builds(params):
+    state, built = make_standard_form(params), _constructor_state(params)
+    assert state.register is built.register
+    for got, want in ((state.mean, built.mean), (state.cov, built.cov)):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable and not want.flags.writeable
+    assert state == built
+    assert validate(state) == validate(built)
+    assert state._facts == built._facts
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "x", None, object()],
+                         ids=["nan", "inf", "-inf", "str", "None", "object"])
+def test_standard_form_refuses_what_the_constructor_refuses(bad):
+    params = StandardFormParams(0.72, 0.72, bad, -0.51)
+    with pytest.raises(CVModesError) as want:
+        _constructor_state(params)
+    assert type(want.value) in (DimensionMismatch, PhysicalityViolation)
+    with pytest.raises(type(want.value)) as got:
+        make_standard_form(params)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

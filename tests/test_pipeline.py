@@ -407,6 +407,12 @@ def test_distribution_config_numbers_are_json_numbers(field, value):
         distribution_config(**{field: value})
 
 
+@pytest.mark.parametrize("analyses", [None, 5, 1.5, object()])
+def test_distribution_config_analyses_must_be_an_iterable_of_names(analyses):
+    with pytest.raises(ParseError, match=re.escape("distribution_config.analyses: ")):
+        distribution_config(analyses=analyses)
+
+
 def test_distribution_config_takes_numpy_numbers():
     def spec(**kwargs):
         return distribution_config(**kwargs).steps[-1][1].keywords["spec"]
@@ -596,16 +602,18 @@ def test_fixture_files_are_decoded_once_per_process(fresh_fixture_cache):
 
 
 def test_reproduce_paper_builds_its_qplate_transform_once(monkeypatch):
+    # every transform build, by the constructor or the q-plate builder,
+    # passes its matrix through the one symplectic check
     built = []
-    symplectic = transforms.SymplecticTransform
-    monkeypatch.setattr(transforms, "SymplecticTransform",
-                        lambda *args: built.append(args) or symplectic(*args))
+    check = transforms._frozen_symplectic
+    monkeypatch.setattr(transforms, "_frozen_symplectic",
+                        lambda mat: built.append(mat) or check(mat))
     transforms._qplate_transform.cache_clear()
     try:
         outputs = [reproduce_paper_json(reproduce_paper()) for _ in range(2)]
     finally:
         transforms._qplate_transform.cache_clear()
-    assert [args[0].shape for args in built] == [(8, 8)]
+    assert [mat.shape for mat in built] == [(8, 8)]
     for output in outputs:
         assert hashlib.sha256(output).hexdigest() == REPRODUCE_JSON_SHA256
 

@@ -256,10 +256,13 @@ def test_qplate_spec_validation():
         QPlateSpec(0.3, np.pi)
     with pytest.raises(ValueError):
         QPlateSpec(0.0, np.pi)
+    for delta in (None, [1.0], 1j):
+        with pytest.raises(ValueError, match="delta must be a number"):
+            QPlateSpec(0.5, delta)
     assert QPlateSpec(0.5, 9.0).delta == pytest.approx(9.0 - 2 * np.pi)
 
 
-@pytest.mark.parametrize("q", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("q", [np.inf, -np.inf, np.nan, "ab", None, 1j])
 def test_qplate_spec_refuses_a_non_finite_charge(q):
     with pytest.raises(ValueError, match="2q must be a nonzero integer"):
         QPlateSpec(q, np.pi)
@@ -413,6 +416,15 @@ def test_qplate_layout_cache_matches_a_fresh_build():
             assert t.output_register == out
             assert t.output_register is first.output_register
             assert qplate_pairing(spec, state.register) == pairs
+            # the cached build is the transform the public constructor makes
+            fresh = SymplecticTransform(mat, state.register, out)
+            assert t.matrix.dtype == fresh.matrix.dtype
+            assert t.matrix.tobytes() == fresh.matrix.tobytes()
+            assert not t.matrix.flags.writeable and not fresh.matrix.flags.writeable
+            assert t.passive is fresh.passive is True
+            assert repr(t) == repr(fresh)
+            again = SymplecticTransform(mat, state.register, out)
+            assert (t == t, t == fresh) == (again == again, again == fresh)
 
 
 def test_qplate_pairing_errors_raise_on_every_call():
@@ -595,3 +607,10 @@ def test_opo_argument_validation():
         opo_source(0.5, eta=0.0)
     with pytest.raises(ValueError):
         opo_source(0.5, eta=1.2)
+    # what is not a number raises the documented ValueError, not a TypeError
+    for r, eta in (("ab", 0.9), (None, 1.0), ([0.5], 1.0), (1j, 1.0)):
+        with pytest.raises(ValueError, match="squeezing parameter must be >= 0"):
+            opo_source(r, eta)
+    for eta in ("x", None, [0.5], 0.5j):
+        with pytest.raises(ValueError, match=r"efficiency must be in \(0, 1\]"):
+            opo_source(0.5, eta)
