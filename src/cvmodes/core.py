@@ -15,6 +15,7 @@ concurrent workers.
 import operator
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
+from numbers import Real
 
 import numpy as np
 
@@ -180,10 +181,24 @@ def _i_symplectic_form(n):
 # states
 # ---------------------------------------------------------------------------
 
+def _is_number(value):
+    """The number rule of :mod:`cvmodes.errors`: a float or a non-bool ``numbers.Real``."""
+    return isinstance(value, float) or (isinstance(value, Real) and type(value) is not bool)
+
+
+_FLOAT = np.dtype(float)
+
+
 def _float_array(values, what):
-    """``values`` as a new float array; non-numbers or ragged lists: DimensionMismatch."""
+    """``values`` as a new float array; non-numbers, complex numbers or ragged
+    lists: DimensionMismatch.  Float input is converted once."""
     try:
-        return np.array(values, dtype=float)
+        arr = np.array(values)
+        if arr.dtype is not _FLOAT:
+            if arr.dtype.kind == "c":
+                raise TypeError(f"{arr.dtype} entries are not real numbers")
+            arr = np.array(values, dtype=float)
+        return arr
     except (TypeError, ValueError, OverflowError) as exc:
         raise DimensionMismatch(f"{what} is not an array of numbers: {exc}") from exc
 
@@ -348,8 +363,16 @@ def vacuum_state(register):
 
 
 def standard_form_matrix(params):
-    """4x4 standard-form covariance matrix for the given parameters."""
+    """4x4 standard-form covariance matrix for the given parameters.
+
+    A parameter that is not a number by the rule of :mod:`cvmodes.errors`
+    raises DimensionMismatch.
+    """
     a, b, c1, c2 = params.a, params.b, params.c1, params.c2
+    for name, value in (("a", a), ("b", b), ("c1", c1), ("c2", c2)):
+        if not _is_number(value):
+            raise DimensionMismatch(
+                f"cov is not an array of numbers: {name} = {value!r} is not a number")
     return np.array(
         [
             [a, 0.0, c1, 0.0],
@@ -381,7 +404,7 @@ def make_standard_form(params, register=None):
         If ``register`` is not a ModeRegister.
     DimensionMismatch
         If ``register`` does not have two modes, or a parameter is not a
-        number.
+        number by the rule of :mod:`cvmodes.errors`.
     PhysicalityViolation
         If a parameter is not finite or the matrix violates the
         Heisenberg bound.

@@ -22,7 +22,6 @@ import enum
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
-from numbers import Real
 
 import numpy as np
 
@@ -34,6 +33,7 @@ from .core import (
     _gather,
     _heisenberg_floor,
     _i_symplectic_form,
+    _is_number,
     _mode_indices,
     _record,
     symplectic_form,
@@ -232,8 +232,8 @@ def _log_negativity(nu_tilde):
 
 
 def _check_band(band):
-    """ParseError unless ``band`` is a real number in [0, SHOT_NOISE)."""
-    if not (isinstance(band, (float, Real)) and 0.0 <= band < SHOT_NOISE):
+    """ParseError unless ``band`` is a number (:mod:`cvmodes.errors`) in [0, SHOT_NOISE)."""
+    if not (_is_number(band) and 0.0 <= band < SHOT_NOISE):
         raise ParseError(
             f"tolerance band must be finite and in [0, {SHOT_NOISE}), got {band!r}"
         )

@@ -6,6 +6,22 @@ arguments to ``ModeLabel``, ``QPlateSpec`` and ``opo_source``, and an empty
 ``run_pipeline`` wrap.  Each class carries the process exit code the CLI
 returns for it in ``exit_code``: 2 for bad input (the default), 3 for a
 failed pipeline step, 4 for a numerical failure.
+
+The number rule: where cvmodes takes one number, that is a float or any
+other ``numbers.Real`` but a bool, so a Python or numpy float or integer.
+Anything else, such as a bool, a string (even ``"1.5"``), None, a list, an
+array (even a 0-d one) or a complex number, is refused:
+
+- ``opo_source`` (``r``, ``eta``) and ``QPlateSpec`` (``q``, ``delta``)
+  raise ``ValueError``;
+- the ``band`` of the four deciders, ``run_pipeline`` and
+  ``reproduce_paper``, the ``delta`` and ``q`` of ``distribution_config``,
+  and each number of a state or config file raise ``ParseError``;
+- ``standard_form_matrix`` and ``make_standard_form`` (``a``, ``b``,
+  ``c1``, ``c2``) raise ``DimensionMismatch``.
+
+Where an array of numbers is taken (a mean, a covariance, a transform
+matrix, angles, a spectrum), a complex entry raises DimensionMismatch.
 """
 
 

@@ -16,7 +16,6 @@ import csv
 import json
 import math
 import os
-from numbers import Real
 
 import numpy as np
 
@@ -25,6 +24,7 @@ from .core import (
     GaussianState,
     ModeLabel,
     ModeRegister,
+    _is_number,
     _require_physical,
 )
 from .errors import (
@@ -137,7 +137,7 @@ def _numbers(values, field, where):
             kind = type(item)
             if kind is list:
                 deeper.extend(item)
-            elif kind is not float and (kind is bool or not isinstance(item, Real)):
+            elif not _is_number(item):
                 raise ParseError(f"{where}.{field}: {item!r} is not a number")
         level = deeper
     return values

@@ -96,14 +96,20 @@ def _step(step, where):
 
 
 def _analyses(analyses, where):
-    """``analyses`` as a tuple; a name not in ANALYSES raises ParseError."""
+    """``analyses`` as a tuple of names in ANALYSES, else ParseError."""
+    try:
+        analyses = tuple(analyses)
+    except TypeError as exc:
+        raise ParseError(
+            f"{where}.analyses: not an iterable of names, got {analyses!r}"
+        ) from exc
     for name in analyses:
-        if name not in ANALYSES:
+        if not isinstance(name, str) or name not in ANALYSES:
             raise ParseError(
                 f"{where}.analyses: unknown analysis {name!r}; "
                 f"choose from {ANALYSES}"
             )
-    return tuple(analyses)
+    return analyses
 
 
 @dataclass(frozen=True)
@@ -248,19 +254,13 @@ def distribution_config(source=None, delta=np.pi / 2.0, q=0.5,
     Waveplate to the circular basis, embed the two q-plate partner vacua,
     interleave signal/vacuum pairs, and apply the q-plate.  The output
     register reads (a1, a2, b1, b2).  ``source`` is a config source object.
-    ``delta`` and ``q`` follow a config file's number rule: a bool,
-    string, list, 0-d array or None raises ParseError naming
+    ``delta`` and ``q`` follow the number rule of :mod:`cvmodes.errors`;
+    another value raises ParseError naming
     ``distribution_config.steps[0].delta`` or ``.q``, and ``analyses``
     that is not an iterable of names ParseError naming
     ``distribution_config.analyses``.
     """
     # parsed in the order, and with the messages, of PipelineConfig.from_dict
-    try:
-        analyses = tuple(analyses)
-    except TypeError as exc:
-        raise ParseError(
-            f"distribution_config.analyses: not an iterable of names, got {analyses!r}"
-        ) from exc
     if source is not None:
         source = _source(source, "distribution_config.source")
     analyses = _analyses(analyses, "distribution_config")

@@ -16,7 +16,6 @@ import math
 import os.path
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from numbers import Real
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from .core import (
     _check_finite,
     _check_register,
     _float_array,
+    _is_number,
     _labels,
     _record,
     _trusted,
@@ -230,11 +230,13 @@ def _extended_register(register, labels):
 class QPlateSpec:
     """q-plate parameters: topological charge q and retardation delta.
 
-    2q must be a nonzero integer (the OAM shift per pass).  A finite
-    delta is stored normalized into [0, 2pi); the transform matrix for
-    delta and delta + 2pi differ by a global sign, which is invisible at
-    the covariance level.  A non-finite delta is stored as NaN, and
-    :func:`qplate_transform` then raises NonSymplectic on every call.
+    ``q`` and ``delta`` are numbers by the rule of :mod:`cvmodes.errors`,
+    else ValueError, and 2q must be a nonzero integer (the OAM shift per
+    pass).  A finite delta is stored normalized into [0, 2pi); the
+    transform matrix for delta and delta + 2pi differ by a global sign,
+    which is invisible at the covariance level.  A non-finite delta is
+    stored as NaN, and :func:`qplate_transform` then raises NonSymplectic
+    on every call.
     """
 
     q: float
@@ -242,15 +244,13 @@ class QPlateSpec:
 
     def __post_init__(self):
         # a charge that is not a number fails as a non-finite one does
-        two_q = 2.0 * self.q if isinstance(self.q, (float, Real)) else math.nan
+        two_q = 2.0 * self.q if _is_number(self.q) else math.nan
         if (not math.isfinite(two_q) or abs(two_q - round(two_q)) > 1e-12
                 or round(two_q) == 0):
             raise ValueError(f"2q must be a nonzero integer, got q={self.q}")
-        try:
-            delta = float(self.delta)
-        except TypeError as exc:
-            raise ValueError(f"delta must be a number, got {self.delta!r}") from exc
-        object.__setattr__(self, "delta", delta % (2.0 * math.pi))
+        if not _is_number(self.delta):
+            raise ValueError(f"delta must be a number, got {self.delta!r}")
+        object.__setattr__(self, "delta", float(self.delta) % (2.0 * math.pi))
 
     @property
     def oam_shift(self):
@@ -419,10 +419,16 @@ def opo_source(r, eta=1.0):
     GaussianState
         Standard-form state with a = b = sn (eta cosh 2r + 1 - eta) and
         c1 = -c2 = sn eta sinh 2r.
+
+    Raises
+    ------
+    ValueError
+        If ``r`` or ``eta`` is not a number by the rule of
+        :mod:`cvmodes.errors`, is out of range, or ``cosh(2r)`` overflows.
     """
-    if not isinstance(r, (float, Real)) or r < 0:
+    if not _is_number(r) or r < 0:
         raise ValueError(f"squeezing parameter must be >= 0, got {r}")
-    if not (isinstance(eta, (float, Real)) and 0.0 < eta <= 1.0):
+    if not (_is_number(eta) and 0.0 < eta <= 1.0):
         raise ValueError(f"efficiency must be in (0, 1], got {eta}")
     try:
         a = SHOT_NOISE * (eta * math.cosh(2.0 * r) + 1.0 - eta)

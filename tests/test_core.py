@@ -13,8 +13,10 @@ from cvmodes import (
     ModeRegister,
     QPlateSpec,
     StandardFormParams,
+    SymplecticTransform,
     embed_with_vacua,
     identity_transform,
+    log_negativity_from_spectrum,
     make_standard_form,
     mean_photon_number,
     phase_rotation,
@@ -25,6 +27,7 @@ from cvmodes import (
     reorder,
     sigma4_closed_form,
     standard_form_matrix,
+    symplectic_eigenvalues,
     symplectic_form,
     total_photon_number,
     two_mode_register,
@@ -287,6 +290,38 @@ def test_standard_form_refuses_what_the_constructor_refuses(bad):
     with pytest.raises(type(want.value)) as got:
         make_standard_form(params)
     assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("bad", [np.array([0.72]), np.array(0.72), [0.72], True, "0.72"],
+                         ids=["array", "0-d array", "list", "bool", "str"])
+def test_standard_form_parameters_follow_the_number_rule(bad):
+    # checked before the matrix is built, by the rule of cvmodes.errors
+    for name, params in (("a", StandardFormParams(bad, 0.72, 0.51, -0.51)),
+                         ("c2", StandardFormParams(0.72, 0.72, 0.51, bad))):
+        message = f"cov is not an array of numbers: {name} = {bad!r} is not a number"
+        for build in (standard_form_matrix, make_standard_form):
+            with pytest.raises(DimensionMismatch) as got:
+                build(params)
+            assert str(got.value) == message
+
+
+def test_complex_input_is_not_an_array_of_numbers():
+    # numpy would drop the imaginary part with only a ComplexWarning
+    register = two_mode_register()
+    cov = 0.5 * np.eye(4) + 0j
+    cov[0, 2] = cov[2, 0] = 0.1j
+    calls = [
+        lambda: make_standard_form(StandardFormParams(0.72, 0.72, 0.51 + 0.3j, -0.51)),
+        lambda: GaussianState(register, np.zeros(4), cov),
+        lambda: SymplecticTransform(np.eye(4) + 0j, register, register),
+        lambda: phase_rotation(register, 1j),
+        lambda: phase_rotation(register, np.array([0.1j, 0.2])),
+        lambda: symplectic_eigenvalues(cov),
+        lambda: log_negativity_from_spectrum(np.array([0.4 + 0.1j, 0.6])),
+    ]
+    for call in calls:
+        with pytest.raises(DimensionMismatch, match="is not an array of numbers: "):
+            call()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

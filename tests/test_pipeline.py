@@ -15,6 +15,7 @@ from cvmodes import (
     Method,
     ModeLabel,
     ModeRegister,
+    QPlateSpec,
     StandardFormParams,
     Status,
     bipartition_scan,
@@ -22,7 +23,9 @@ from cvmodes import (
     emit_report,
     iterative_separability,
     make_standard_form,
+    opo_source,
     pairwise_entanglement_map,
+    ppt_verdict,
     reproduce_paper,
     run_pipeline,
     sigma4_closed_form,
@@ -30,6 +33,7 @@ from cvmodes import (
 )
 from cvmodes import core, fixtures, transforms
 from cvmodes.errors import (
+    DimensionMismatch,
     NonPositiveDeterminant,
     NumericalFailure,
     ParseError,
@@ -407,10 +411,85 @@ def test_distribution_config_numbers_are_json_numbers(field, value):
         distribution_config(**{field: value})
 
 
-@pytest.mark.parametrize("analyses", [None, 5, 1.5, object()])
+@pytest.mark.parametrize("analyses", [None, 5, 1.5, object(), [np.array([1, 2])]])
 def test_distribution_config_analyses_must_be_an_iterable_of_names(analyses):
     with pytest.raises(ParseError, match=re.escape("distribution_config.analyses: ")):
         distribution_config(analyses=analyses)
+
+
+def _distributed():
+    return run_pipeline(distribution_config(analyses=()), state=make_standard_form(EXP)).final_state
+
+
+def _state_key(state):
+    return state.register, state.mean.tobytes(), state.cov.tobytes()
+
+
+def _band_message(value):
+    return f"tolerance band must be finite and in [0, 0.5), got {value!r}"
+
+
+def _config_message(field):
+    def message(value):
+        # a list of numbers passes the file reader's walk; float() then fails
+        shown = "not a number" if isinstance(value, list) else f"{value!r} is not a number"
+        return f"distribution_config.steps[0].{field}: {shown}"
+    return message
+
+
+_SPLIT = Bipartition((0, 1), (2, 3))
+
+# every argument that takes one number: (name, a valid integral value,
+# call(value), key(result), error, message(refused value))
+NUMBER_ARGUMENTS = [
+    ("opo_source.r", 1.0, lambda x: opo_source(x, 0.9), _state_key,
+     ValueError, "squeezing parameter must be >= 0, got {}".format),
+    ("opo_source.eta", 1.0, lambda x: opo_source(0.5, x), _state_key,
+     ValueError, "efficiency must be in (0, 1], got {}".format),
+    ("make_standard_form.a", 1.0,
+     lambda x: make_standard_form(StandardFormParams(x, 0.72, 0.51, -0.51)), _state_key,
+     DimensionMismatch, "cov is not an array of numbers: a = {!r} is not a number".format),
+    ("QPlateSpec.q", 1.0, lambda x: QPlateSpec(x, 2.0), lambda s: (s, s.oam_shift),
+     ValueError, "2q must be a nonzero integer, got q={}".format),
+    ("QPlateSpec.delta", 2.0, lambda x: QPlateSpec(0.5, x), repr,
+     ValueError, "delta must be a number, got {!r}".format),
+    ("ppt_verdict.band", 0.0, lambda x: ppt_verdict(_distributed(), _SPLIT, band=x), repr,
+     ParseError, _band_message),
+    ("iterative_separability.band", 0.0,
+     lambda x: iterative_separability(_distributed(), _SPLIT, band=x), repr,
+     ParseError, _band_message),
+    ("pairwise_entanglement_map.band", 0.0,
+     lambda x: pairwise_entanglement_map(_distributed(), band=x), repr,
+     ParseError, _band_message),
+    ("bipartition_scan.band", 0.0, lambda x: bipartition_scan(_distributed(), band=x), repr,
+     ParseError, _band_message),
+    ("run_pipeline.band", 0.0,
+     lambda x: run_pipeline(distribution_config(), state=make_standard_form(EXP), band=x),
+     lambda result: (repr(result.report), repr(result.diagnostics)),
+     ParseError, _band_message),
+    ("reproduce_paper.band", 0.0, lambda x: reproduce_paper(band=x), reproduce_paper_json,
+     ParseError, _band_message),
+    ("distribution_config.delta", 2.0, lambda x: distribution_config(delta=x),
+     lambda config: repr(config.steps[-1][1].keywords["spec"]),
+     ParseError, _config_message("delta")),
+    ("distribution_config.q", 1.0, lambda x: distribution_config(q=x),
+     lambda config: repr(config.steps[-1][1].keywords["spec"]),
+     ParseError, _config_message("q")),
+]
+
+
+@pytest.mark.parametrize("name, good, call, key, error, message", NUMBER_ARGUMENTS,
+                         ids=[row[0] for row in NUMBER_ARGUMENTS])
+def test_every_number_argument_follows_the_number_rule(name, good, call, key, error,
+                                                       message):
+    # the rule stated in the cvmodes.errors docstring, with each refusal's text
+    for bad in (True, False, "1.5", None, [1.0], np.array(1.0), 1j):
+        with pytest.raises(error) as got:
+            call(bad)
+        assert (type(got.value), str(got.value)) == (error, message(bad)), bad
+    want = key(call(good))
+    for same in (int(good), np.int64(good), np.float64(good)):
+        assert key(call(same)) == want, type(same)
 
 
 def test_distribution_config_takes_numpy_numbers():
