@@ -10,7 +10,8 @@ failed pipeline step, 4 for a numerical failure.
 The number rule: where cvmodes takes one number, that is a float or any
 other ``numbers.Real`` but a bool, so a Python or numpy float or integer.
 Anything else, such as a bool, a string (even ``"1.5"``), None, a list, an
-array (even a 0-d one) or a complex number, is refused:
+array (even a 0-d one) or a complex number, is refused, and so is an
+integer too large for a float:
 
 - ``opo_source`` (``r``, ``eta``) and ``QPlateSpec`` (``q``, ``delta``)
   raise ``ValueError``;
@@ -22,6 +23,9 @@ array (even a 0-d one) or a complex number, is refused:
 
 Where an array of numbers is taken (a mean, a covariance, a transform
 matrix, angles, a spectrum), a complex entry raises DimensionMismatch.
+
+``emit_report`` raises ParseError for a report that is not an
+``EntanglementReport`` and for an unknown format.
 """
 
 

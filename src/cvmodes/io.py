@@ -6,16 +6,22 @@ unit are rejected unless the caller explicitly asks for a rescale; any
 other ordering is rejected outright.  Floats are written with full repr
 precision, so save -> load round-trips are bit-exact.
 
-A state file is written with the bytes of ``json.dumps(doc, indent=2)``
-plus a newline; :func:`_state_text` builds that text itself, which is
-faster than ``json``'s indenting encoder.  JSON files are read as bytes,
-decoded as UTF-8 and parsed with ``json.loads``, in any layout.
+JSON is written as text, which is faster than building a dict for
+``json``'s encoders to walk and sort: :func:`_json_str` and
+:func:`_json_scalar` write a string, number, bool or null as ``json``
+writes it, and each writer puts its keys in their order itself.  A state file is written with the bytes of
+``json.dumps(doc, indent=2)`` plus a newline (:func:`_state_text`); a
+report and the reference run's document are one line of
+``json.dumps(doc, sort_keys=True, separators=(",", ":"))`` plus a newline,
+except that a non-finite number is written as null.  JSON files are read
+as bytes, decoded as UTF-8 and parsed with ``json.loads``, in any layout.
 """
 
 import csv
 import json
 import math
 import os
+from json.encoder import encode_basestring_ascii as _json_str
 
 import numpy as np
 
@@ -36,8 +42,20 @@ from .errors import (
 )
 
 ORDERING = "interleaved"
-# the encoder json.dumps(doc, sort_keys=True, separators=(",", ":")) builds per call
-_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def _json_scalar(value):
+    """A float, int, bool or None as ``json`` writes it, but a non-finite
+    float as null (``json`` writes ``NaN`` and ``Infinity``, which are not
+    JSON).  A numpy float64 is a float; another type raises TypeError, as
+    in ``json``."""
+    if isinstance(value, float):
+        return float.__repr__(value) if math.isfinite(value) else "null"
+    if value is None:
+        return "null"
+    if value is True or value is False:  # before int: a bool is an int
+        return "true" if value else "false"
+    return int.__repr__(value)
 
 
 def state_to_dict(state):
@@ -55,14 +73,12 @@ def state_to_dict(state):
 def _state_text(state):
     """A state file's text: :func:`state_to_dict` as ``json.dumps(..., indent=2)``.
 
-    The text is built here, as ``json`` builds it, because ``indent`` sends
-    ``json`` to its pure-Python encoder.  Numbers are written as ``json``
-    writes them (``repr``; a state's entries are finite), and strings go
-    through ``json``'s escaping.
+    Numbers are written as ``json`` writes them (``repr``; a state's
+    entries are finite), and strings through :func:`_json_str`.
     """
     modes = ",\n".join(
-        f'    {{\n      "tag": {json.dumps(m.tag)},\n'
-        f'      "polarization": {json.dumps(m.polarization)},\n'
+        f'    {{\n      "tag": {_json_str(m.tag)},\n'
+        f'      "polarization": {_json_str(m.polarization)},\n'
         f'      "oam": {m.oam!r}\n    }}'
         for m in state.register
     )
@@ -73,16 +89,11 @@ def _state_text(state):
     )
     return (
         f'{{\n  "convention": {{\n    "sn": {SHOT_NOISE!r},\n'
-        f'    "ordering": {json.dumps(ORDERING)}\n  }},\n'
+        f'    "ordering": {_json_str(ORDERING)}\n  }},\n'
         f'  "register": [\n{modes}\n  ],\n'
         f'  "mean": [\n    {mean}\n  ],\n'
         f'  "cov": [\n    {cov}\n  ]\n}}\n'
     )
-
-
-def _compact_json(doc):
-    """A report's bytes: ``doc`` as one line of JSON with sorted keys."""
-    return (_COMPACT.encode(doc) + "\n").encode()
 
 
 def _require(mapping, key, where):

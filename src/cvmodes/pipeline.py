@@ -34,7 +34,14 @@ from .entanglement import (
     pairwise_entanglement_map,
 )
 from .errors import CVModesError, ParseError, PipelineStepError
-from .io import _compact_json, _number, _parse_register, load_state, read_json
+from .io import (
+    _json_scalar,
+    _json_str,
+    _number,
+    _parse_register,
+    load_state,
+    read_json,
+)
 from .transforms import (
     QPlateSpec,
     apply,
@@ -283,33 +290,34 @@ def _fmt(value):
     return f"{value:#.4g}"
 
 
-def _verdict_dict(verdict):
-    # an enum member's _value_ is its plain str, read without the value property
-    return {
-        "status": verdict.status._value_,
-        "witness": verdict.witness,
-        "log_negativity": verdict.log_negativity,
-        "method": verdict.method._value_,
-        "iterations": verdict.iterations,
-    }
+def _verdict_json(sides, verdict):
+    """One verdict entry of a report's JSON; ``sides`` holds its mode-list keys.
+
+    The keys are written in sorted order, with ``sides`` ("modes", or
+    "side_a" and "side_b") between "method" and "status".  An enum
+    member's ``_value_`` is a plain lower-case word, written unescaped.
+    """
+    return (f'{{"iterations":{_json_scalar(verdict.iterations)},'
+            f'"log_negativity":{_json_scalar(verdict.log_negativity)},'
+            f'"method":"{verdict.method._value_}",{sides},'
+            f'"status":"{verdict.status._value_}",'
+            f'"witness":{_json_scalar(verdict.witness)}}}')
 
 
-def report_to_dict(report):
-    return {
-        "register": list(report.tags),
-        "pairwise": [
-            {"modes": [report.tags[i], report.tags[j]], **_verdict_dict(v)}
-            for (i, j), v in sorted(report.pairwise.items())
-        ],
-        "bipartitions": [
-            {
-                "side_a": [report.tags[k] for k in split.side_a],
-                "side_b": [report.tags[k] for k in split.side_b],
-                **_verdict_dict(v),
-            }
-            for split, v in report.bipartitions
-        ],
-    }
+def _report_json(report):
+    """A report as one line of JSON text with sorted keys; tags escaped once."""
+    tags = [_json_str(tag) for tag in report.tags]
+    pairwise = ",".join(
+        _verdict_json(f'"modes":[{tags[i]},{tags[j]}]', v)
+        for (i, j), v in sorted(report.pairwise.items())
+    )
+    bipartitions = ",".join(
+        _verdict_json(f'"side_a":[{",".join([tags[k] for k in split.side_a])}],'
+                      f'"side_b":[{",".join([tags[k] for k in split.side_b])}]', v)
+        for split, v in report.bipartitions
+    )
+    return (f'{{"bipartitions":[{bipartitions}],"pairwise":[{pairwise}],'
+            f'"register":[{",".join(tags)}]}}')
 
 
 def _render_text(report):
@@ -365,12 +373,19 @@ def emit_report(report, format="text"):
     """Render an entanglement report as bytes.
 
     ``text`` shows the pairwise table and the bipartition list with
-    witnesses to 4 significant figures.  ``json`` is schema-stable with
-    sorted keys and full float precision, byte-identical across runs for
-    identical inputs.
+    witnesses to 4 significant figures.  ``json`` is one line with sorted
+    keys, compact separators, ASCII escapes and full float precision,
+    byte-identical across runs for identical inputs; a non-finite witness
+    or log-negativity is written as null.  A ``report`` that is not an
+    :class:`EntanglementReport`, or an unknown ``format``, raises
+    ParseError.
     """
+    if not isinstance(report, EntanglementReport):
+        raise ParseError(
+            f"emit_report needs an EntanglementReport, got {type(report).__name__}"
+        )
     if format == "json":
-        return _compact_json(report_to_dict(report))
+        return (_report_json(report) + "\n").encode()
     if format == "text":
         return _render_text(report).encode("utf-8")
     raise ParseError(f"unknown report format {format!r}")
@@ -440,27 +455,47 @@ def reproduce_paper(band=THRESHOLD_BAND):
 
 
 def reproduce_paper_json(outcome):
-    """Deterministic JSON rendering of a :func:`reproduce_paper` outcome."""
-    result = outcome["result"]
-    doc = {
-        "comparisons": outcome["comparisons"],
-        "diagnostics": [
-            {
-                "index": d.index,
-                "step": d.step,
-                "register": list(d.tags),
-                "total_photons": d.total_photons,
-                "purity": d.purity,
-                "min_heisenberg_eigenvalue": d.min_heisenberg_eigenvalue,
-            }
-            for d in result.diagnostics
-        ],
-        "final_cov": outcome["final"].cov.tolist(),
-        "final_register": list(outcome["final"].register.tags),
-        "photons": outcome["photons"],
-        "report": report_to_dict(result.report),
-    }
-    return _compact_json(doc)
+    """Deterministic JSON rendering of a :func:`reproduce_paper` outcome.
+
+    One line with sorted keys, compact separators, ASCII escapes and full
+    float precision; a non-finite number is written as null.
+    """
+    result, final = outcome["result"], outcome["final"]
+    comp, photons = outcome["comparisons"], outcome["photons"]
+    cells = ",".join(
+        f'{{"abs_dev_from_corrected":{_json_scalar(c["abs_dev_from_corrected"])},'
+        f'"cell":[{",".join(map(_json_scalar, c["cell"]))}],'
+        f'"corrected":{_json_scalar(c["corrected"])},'
+        f'"pipeline":{_json_scalar(c["pipeline"])},'
+        f'"published":{_json_scalar(c["published"])}}}'
+        for c in comp["typo_cells"]
+    )
+    diagnostics = ",".join(
+        f'{{"index":{_json_scalar(d.index)},'
+        f'"min_heisenberg_eigenvalue":{_json_scalar(d.min_heisenberg_eigenvalue)},'
+        f'"purity":{_json_scalar(d.purity)},'
+        f'"register":[{",".join(map(_json_str, d.tags))}],'
+        f'"step":{_json_str(d.step)},'
+        f'"total_photons":{_json_scalar(d.total_photons)}}}'
+        for d in result.diagnostics
+    )
+    # a state's entries are finite, so repr writes each as json does
+    cov = ",".join(f'[{",".join(map(float.__repr__, row))}]'
+                   for row in final.cov.tolist())
+    return (
+        '{"comparisons":{'
+        f'"exact_match_1e-12":{_json_scalar(comp["exact_match_1e-12"])},'
+        f'"max_abs_dev_vs_exact":{_json_scalar(comp["max_abs_dev_vs_exact"])},'
+        '"max_abs_dev_vs_printed_excl_typo":'
+        f'{_json_scalar(comp["max_abs_dev_vs_printed_excl_typo"])},'
+        f'"printed_match_0.015":{_json_scalar(comp["printed_match_0.015"])},'
+        f'"typo_cells":[{cells}]}},'
+        f'"diagnostics":[{diagnostics}],"final_cov":[{cov}],'
+        f'"final_register":[{",".join(map(_json_str, final.register.tags))}],'
+        f'"photons":{{"after":{_json_scalar(photons["after"])},'
+        f'"before":{_json_scalar(photons["before"])}}},'
+        f'"report":{_report_json(result.report)}}}\n'
+    ).encode()
 
 
 def reproduce_paper_text(outcome):

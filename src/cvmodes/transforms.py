@@ -230,27 +230,35 @@ def _extended_register(register, labels):
 class QPlateSpec:
     """q-plate parameters: topological charge q and retardation delta.
 
-    ``q`` and ``delta`` are numbers by the rule of :mod:`cvmodes.errors`,
-    else ValueError, and 2q must be a nonzero integer (the OAM shift per
-    pass).  A finite delta is stored normalized into [0, 2pi); the
-    transform matrix for delta and delta + 2pi differ by a global sign,
-    which is invisible at the covariance level.  A non-finite delta is
-    stored as NaN, and :func:`qplate_transform` then raises NonSymplectic
-    on every call.
+    ``q`` and ``delta`` are numbers by the rule of :mod:`cvmodes.errors`
+    that a float can hold, else ValueError, and 2q must be a nonzero
+    integer (the OAM shift per pass).  A finite delta is stored
+    normalized into [0, 2pi); the transform matrix for delta and
+    delta + 2pi differ by a global sign, which is invisible at the
+    covariance level.  A non-finite delta is stored as NaN, and
+    :func:`qplate_transform` then raises NonSymplectic on every call.
     """
 
     q: float
     delta: float
 
     def __post_init__(self):
-        # a charge that is not a number fails as a non-finite one does
-        two_q = 2.0 * self.q if _is_number(self.q) else math.nan
+        # a charge that is not a number, or an integer too large for a
+        # float, fails as a non-finite one does
+        try:
+            two_q = 2.0 * self.q if _is_number(self.q) else math.nan
+        except OverflowError:
+            two_q = math.nan
         if (not math.isfinite(two_q) or abs(two_q - round(two_q)) > 1e-12
                 or round(two_q) == 0):
             raise ValueError(f"2q must be a nonzero integer, got q={self.q}")
-        if not _is_number(self.delta):
+        try:
+            delta = float(self.delta) if _is_number(self.delta) else None
+        except OverflowError:  # an integer too large for a float
+            delta = None
+        if delta is None:
             raise ValueError(f"delta must be a number, got {self.delta!r}")
-        object.__setattr__(self, "delta", float(self.delta) % (2.0 * math.pi))
+        object.__setattr__(self, "delta", delta % (2.0 * math.pi))
 
     @property
     def oam_shift(self):

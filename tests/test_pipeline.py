@@ -4,14 +4,18 @@ import inspect
 import json
 import math
 import re
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from cvmodes import (
     Bipartition,
     EntanglementReport,
+    EntanglementVerdict,
     Method,
     ModeLabel,
     ModeRegister,
@@ -44,7 +48,6 @@ from cvmodes.io import load_state
 from cvmodes.pipeline import (
     PipelineConfig,
     PipelineResult,
-    report_to_dict,
     reproduce_paper_json,
     reproduce_paper_text,
 )
@@ -492,6 +495,18 @@ def test_every_number_argument_follows_the_number_rule(name, good, call, key, er
         assert key(call(same)) == want, type(same)
 
 
+@pytest.mark.parametrize("name, good, call, key, error, message", NUMBER_ARGUMENTS,
+                         ids=[row[0] for row in NUMBER_ARGUMENTS])
+def test_an_integer_too_large_for_a_float_raises_the_documented_error(
+        name, good, call, key, error, message):
+    for huge in (10 ** 400, -10 ** 400):
+        with pytest.raises(error) as got:
+            call(huge)
+        assert type(got.value) is error, huge
+        if name.startswith("QPlateSpec."):
+            assert str(got.value) == message(huge)
+
+
 def test_distribution_config_takes_numpy_numbers():
     def spec(**kwargs):
         return distribution_config(**kwargs).steps[-1][1].keywords["spec"]
@@ -579,6 +594,68 @@ def test_text_report_shows_the_iterations_of_an_iterative_verdict():
     assert "iterations" not in emit_report(full_report(), "text").decode()
 
 
+# -- the JSON writers against json.dumps -----------------------------------------
+# The oracle: a report and the reference run's document as the dicts that
+# json.dumps(doc, sort_keys=True, separators=(",", ":")) writes.
+
+def _verdict_dict(verdict):
+    return {
+        "status": verdict.status.value,
+        "witness": verdict.witness,
+        "log_negativity": verdict.log_negativity,
+        "method": verdict.method.value,
+        "iterations": verdict.iterations,
+    }
+
+
+def report_to_dict(report):
+    return {
+        "register": list(report.tags),
+        "pairwise": [
+            {"modes": [report.tags[i], report.tags[j]], **_verdict_dict(v)}
+            for (i, j), v in sorted(report.pairwise.items())
+        ],
+        "bipartitions": [
+            {
+                "side_a": [report.tags[k] for k in split.side_a],
+                "side_b": [report.tags[k] for k in split.side_b],
+                **_verdict_dict(v),
+            }
+            for split, v in report.bipartitions
+        ],
+    }
+
+
+def reproduce_to_dict(outcome):
+    result = outcome["result"]
+    return {
+        "comparisons": outcome["comparisons"],
+        "diagnostics": [
+            {
+                "index": d.index,
+                "step": d.step,
+                "register": list(d.tags),
+                "total_photons": d.total_photons,
+                "purity": d.purity,
+                "min_heisenberg_eigenvalue": d.min_heisenberg_eigenvalue,
+            }
+            for d in result.diagnostics
+        ],
+        "final_cov": outcome["final"].cov.tolist(),
+        "final_register": list(outcome["final"].register.tags),
+        "photons": outcome["photons"],
+        "report": report_to_dict(result.report),
+    }
+
+
+def _json_dumps(doc):
+    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
 def _scan_report(state):
     return EntanglementReport(state.register.tags,
                               pairwise_entanglement_map(state).pairwise,
@@ -609,7 +686,7 @@ def test_json_report_is_the_bytes_of_json_dumps(kind):
     for entry in entries:
         assert type(entry["status"]) is str and type(entry["method"]) is str
     blob = emit_report(report, "json")
-    assert blob == (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    assert blob == _json_dumps(doc)
     if kind == "escaped":
         for escape in (rb'"\u00e9"', rb'"\""', rb'"\\"', rb'"\u0007"'):
             assert escape in blob
@@ -618,6 +695,102 @@ def test_json_report_is_the_bytes_of_json_dumps(kind):
 def test_unknown_report_format():
     with pytest.raises(ParseError):
         emit_report(full_report(), "yaml")
+
+
+@pytest.mark.parametrize("format", ["json", "text"])
+@pytest.mark.parametrize("report", [None, {"tags": ("a", "b")}, "report", 0],
+                         ids=["None", "dict", "str", "int"])
+def test_emit_report_of_a_non_report_is_a_parse_error(report, format):
+    with pytest.raises(ParseError, match="needs an EntanglementReport"):
+        emit_report(report, format)
+
+
+# finite floats, with the extremes json and repr must agree on
+FINITE = (st.floats(allow_nan=False, allow_infinity=False)
+          | st.sampled_from([-0.0, 5e-324, 1e308, -1e308]))
+# tags: non-ASCII letters, the characters JSON escapes, control characters
+TAGS = st.text(st.characters(codec="utf-8") | st.sampled_from('"\\\x00\x07\x1f\x7f'),
+               max_size=5)
+
+
+@st.composite
+def _verdicts(draw):
+    return EntanglementVerdict(
+        draw(st.sampled_from(Status)),
+        draw(FINITE | FINITE.map(np.float64)),
+        draw(FINITE),
+        draw(st.sampled_from(Method)),
+        draw(st.none() | st.integers()),
+    )
+
+
+@st.composite
+def _reports(draw):
+    tags = tuple(draw(st.lists(TAGS, min_size=2, max_size=4)))
+    n = len(tags)
+    pairs = draw(st.lists(st.sampled_from(list(combinations(range(n), 2))),
+                          unique=True))
+    masks = draw(st.lists(st.integers(1, 2 ** n - 2), max_size=3))
+    splits = [Bipartition([k for k in range(n) if mask >> k & 1],
+                          [k for k in range(n) if not mask >> k & 1])
+              for mask in masks]
+    return EntanglementReport(tags, {pair: draw(_verdicts()) for pair in pairs},
+                              tuple((split, draw(_verdicts())) for split in splits))
+
+
+_LONE_SURROGATE = EntanglementReport(
+    ("\ud800", "b\udfff"),
+    {(0, 1): EntanglementVerdict(Status.SEPARABLE, 0.5, 0.0, Method.PPT)},
+    ((Bipartition((0,), (1,)),
+      EntanglementVerdict(Status.INCONCLUSIVE, np.float64(-0.0), 5e-324,
+                          Method.ITERATIVE, 7)),),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(report=_reports())
+@example(report=_LONE_SURROGATE)
+def test_json_report_of_any_report_is_the_bytes_of_json_dumps(report):
+    assert emit_report(report, "json") == _json_dumps(report_to_dict(report))
+
+
+def test_non_finite_numbers_are_written_as_null():
+    verdict = EntanglementVerdict(Status.INCONCLUSIVE, math.nan, math.inf, Method.PPT)
+    report = EntanglementReport(
+        ("a", "b"), {(0, 1): verdict},
+        ((Bipartition((0,), (1,)), dataclasses.replace(verdict, witness=-math.inf)),))
+    doc = json.loads(emit_report(report, "json"), parse_constant=_refuse_constant)
+    for entry in doc["pairwise"] + doc["bipartitions"]:
+        assert entry["witness"] is None and entry["log_negativity"] is None
+        assert entry["status"] == "inconclusive"
+
+    outcome = reproduce_paper()
+    outcome["comparisons"] = {**outcome["comparisons"],
+                              "max_abs_dev_vs_exact": math.inf,
+                              "max_abs_dev_vs_printed_excl_typo": math.nan}
+    outcome["photons"] = {"before": -math.inf, "after": 0.44}
+    doc = json.loads(reproduce_paper_json(outcome), parse_constant=_refuse_constant)
+    assert doc["comparisons"]["max_abs_dev_vs_exact"] is None
+    assert doc["comparisons"]["max_abs_dev_vs_printed_excl_typo"] is None
+    assert doc["photons"] == {"after": 0.44, "before": None}
+
+
+def test_reproduce_json_is_the_bytes_of_json_dumps():
+    outcome = reproduce_paper()
+    assert reproduce_paper_json(outcome) == _json_dumps(reproduce_to_dict(outcome))
+    # the same writer for numpy float64 values
+    comp = outcome["comparisons"]
+    outcome["comparisons"] = {
+        **comp,
+        "max_abs_dev_vs_exact": np.float64(comp["max_abs_dev_vs_exact"]),
+        "max_abs_dev_vs_printed_excl_typo": np.float64(-0.0),
+        "typo_cells": [{key: np.float64(value) if type(value) is float else value
+                        for key, value in cell.items()} for cell in comp["typo_cells"]],
+    }
+    cell = outcome["comparisons"]["typo_cells"][0]
+    assert type(cell["pipeline"]) is np.float64 and type(cell["cell"][0]) is int
+    assert reproduce_paper_json(outcome) == _json_dumps(reproduce_to_dict(outcome))
 
 
 # -- bundled reference run -------------------------------------------------------
