@@ -10,13 +10,20 @@ Analysis verdicts are data and never affect the exit code.
 
 import argparse
 import functools
-import json
 import sys
 
 from .core import validate
 from .entanglement import THRESHOLD_BAND, _check_band
 from .errors import CVModesError, ParseError
-from .io import _state_text, load_cov_csv, load_state, parse_register_spec, save_state
+from .io import (
+    _json_scalar,
+    _json_str,
+    _state_text,
+    load_cov_csv,
+    load_state,
+    parse_register_spec,
+    save_state,
+)
 from .pipeline import (
     PipelineConfig,
     emit_report,
@@ -47,13 +54,14 @@ def _cmd_validate(args):
     state = _load_input(args, require_physical=False)
     report = validate(state)
     if args.format == "json":
-        doc = {
-            "symmetric": report.symmetric,
-            "physical": report.physical,
-            "min_heisenberg_eigenvalue": report.min_heisenberg_eigenvalue,
-            "register": list(state.register.tags),
-        }
-        sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")
+        # json.dumps(doc, sort_keys=True) of the report and the tags
+        sys.stdout.write(
+            f'{{"min_heisenberg_eigenvalue": '
+            f'{_json_scalar(report.min_heisenberg_eigenvalue)}, '
+            f'"physical": {_json_scalar(report.physical)}, '
+            f'"register": [{", ".join(map(_json_str, state.register.tags))}], '
+            f'"symmetric": {_json_scalar(report.symmetric)}}}\n'
+        )
     else:
         sys.stdout.write(
             f"register: {', '.join(str(m) for m in state.register)}\n"

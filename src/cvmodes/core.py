@@ -186,19 +186,44 @@ def _is_number(value):
     return isinstance(value, float) or (isinstance(value, Real) and type(value) is not bool)
 
 
+def _shown(value, form=repr):
+    """``form(value)``, ``repr`` or ``str``, for an error message; an int of
+    over 4,300 digits, which Python refuses to print, or a container
+    holding one, is shown as ``<int too long to print>`` (its type's name)."""
+    try:
+        return form(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+
+
 _FLOAT = np.dtype(float)
+_PLAIN_NUMBERS = frozenset((float, int))
 
 
 def _float_array(values, what):
-    """``values`` as a new float array; non-numbers, complex numbers or ragged
-    lists: DimensionMismatch.  Float input is converted once."""
+    """``values`` as a new float array if it is an array of numbers by the
+    rule of :mod:`cvmodes.errors`, else DimensionMismatch.  Lists and tuples
+    are walked a level at a time, so the first bad entry named is the
+    shallowest: numpy reads ``"0.5"`` and ``True``, even in ``[True, 0.5]``,
+    as numbers.  Float input is converted once."""
     try:
+        level = [values]
+        # a level of plain floats and ints, the usual leaves, needs no walk
+        while not set(map(type, level)) <= _PLAIN_NUMBERS:
+            deeper = []
+            for item in level:
+                if isinstance(item, (list, tuple)):
+                    deeper.extend(item)
+                elif isinstance(item, np.ndarray):
+                    if item.dtype.kind == "O":
+                        deeper.extend(item.ravel().tolist())
+                    elif item.dtype.kind not in "iuf":
+                        raise TypeError(f"{item.dtype} entries are not numbers")
+                elif not _is_number(item):
+                    raise TypeError(f"{_shown(item)} is not a number")
+            level = deeper
         arr = np.array(values)
-        if arr.dtype is not _FLOAT:
-            if arr.dtype.kind == "c":
-                raise TypeError(f"{arr.dtype} entries are not real numbers")
-            arr = np.array(values, dtype=float)
-        return arr
+        return arr if arr.dtype is _FLOAT else np.array(values, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DimensionMismatch(f"{what} is not an array of numbers: {exc}") from exc
 
@@ -225,9 +250,9 @@ class GaussianState:
     finiteness only: a register that is not a ModeRegister raises
     RegisterMismatch, non-numbers or a wrong shape DimensionMismatch, a
     NaN or infinite entry PhysicalityViolation.  This gate is for outside
-    input; a state gathered or padded from a checked state, or computed
-    from one or from numbers and checked for finiteness (``S cov S^T``,
-    the standard form), is built without it (``_trusted``).
+    input; a state gathered or padded from a checked state, computed from
+    one and checked for finiteness (``S cov S^T``) or on a matrix that
+    passed the gate (the standard form), is built without it (``_trusted``).
     Physicality and symmetry are checked by :func:`validate` (and enforced
     by the constructors that promise physical output), so that diagnostic
     code can still hold and inspect invalid matrices.  That report is
@@ -276,9 +301,8 @@ def _trusted(register, mean, cov, kept=()):
 
     ``mean`` and ``cov`` must be finite arrays of the register's shape:
     gathered from or padded around arrays that passed the constructor's
-    gate (padding is zeros and SHOT_NOISE only), or computed from them or
-    converted with ``_float_array``, and checked with ``_check_finite``;
-    they are marked read-only.
+    gate (padding is zeros and SHOT_NOISE only), or computed from them and
+    checked with ``_check_finite``; they are marked read-only.
     ``kept`` is the ``__dict__`` of a state on the same arrays, whose kept
     :attr:`validity` report and photon total and purity the result shares.
     """
@@ -414,9 +438,7 @@ def make_standard_form(params, register=None):
     _check_register(register)
     if len(register) != 2:
         raise DimensionMismatch("standard form is a two-mode constructor")
-    # the constructor's gate on cov, less its shape check: a built matrix is 4x4
-    cov = _float_array(standard_form_matrix(params), "cov")
-    _check_finite(cov, "cov")
+    cov = _frozen_array(standard_form_matrix(params), (4, 4), "cov")
     return _require_physical(_trusted(register, np.zeros(4), cov), params)
 
 
@@ -498,7 +520,8 @@ def _mode_indices(indices):
             raise TypeError("a boolean is not a mode index")
         return [operator.index(k) for k in values]
     except TypeError as exc:
-        raise IndexOutOfRange(f"mode indices must be integers: {indices!r}") from exc
+        raise IndexOutOfRange(
+            f"mode indices must be integers: {_shown(indices)}") from exc
 
 
 def _check_subset(subset, n):
@@ -507,7 +530,8 @@ def _check_subset(subset, n):
         raise IndexOutOfRange("mode subset is empty")
     for k in subset:
         if not 0 <= k < n:
-            raise IndexOutOfRange(f"mode index {k} outside register of {n} modes")
+            raise IndexOutOfRange(
+                f"mode index {_shown(k)} outside register of {n} modes")
     if len(set(subset)) != len(subset):
         raise DuplicateIndex(f"repeated mode index in {subset}")
     return subset
@@ -542,7 +566,7 @@ def reorder(state, permutation):
     perm = _mode_indices(permutation)
     if sorted(perm) != list(range(state.n_modes)):
         raise NotAPermutation(
-            f"{permutation} is not a permutation of 0..{state.n_modes - 1}"
+            f"{_shown(permutation, str)} is not a permutation of 0..{state.n_modes - 1}"
         )
     return _select(state, perm)
 

@@ -35,6 +35,7 @@ from .core import (
     _i_symplectic_form,
     _is_number,
     _mode_indices,
+    _shown,
     _record,
     symplectic_form,
 )
@@ -80,7 +81,7 @@ class Bipartition:
         if not a or not b or len(set(a + b)) != len(a + b):
             raise IndexOutOfRange(
                 f"bipartition sides must be nonempty with no index repeated: "
-                f"{a} / {b}"
+                f"{_shown(a, str)} / {_shown(b, str)}"
             )
         object.__setattr__(self, "side_a", a)
         object.__setattr__(self, "side_b", b)
@@ -123,7 +124,7 @@ class EntanglementReport:
             raise IndexOutOfRange("pairwise table has no diagonal")
         key = (min(i, j), max(i, j))
         if key not in self.pairwise:
-            raise IndexOutOfRange(f"pairwise table has no pair {key}")
+            raise IndexOutOfRange(f"pairwise table has no pair {_shown(key, str)}")
         return self.pairwise[key]
 
 
@@ -235,7 +236,7 @@ def _check_band(band):
     """ParseError unless ``band`` is a number (:mod:`cvmodes.errors`) in [0, SHOT_NOISE)."""
     if not (_is_number(band) and 0.0 <= band < SHOT_NOISE):
         raise ParseError(
-            f"tolerance band must be finite and in [0, {SHOT_NOISE}), got {band!r}"
+            f"tolerance band must be finite and in [0, {SHOT_NOISE}), got {_shown(band)}"
         )
 
 
@@ -245,8 +246,8 @@ def _split_table(n, splits):
     for s in splits:
         if sorted(s.side_a + s.side_b) != list(range(n)):
             raise IndexOutOfRange(
-                f"bipartition {s.side_a}|{s.side_b} does not cover the "
-                f"{n}-mode register"
+                f"bipartition {_shown(s.side_a, str)}|{_shown(s.side_b, str)} "
+                f"does not cover the {n}-mode register"
             )
     masks = _sign_masks(n, [s.side_b for s in splits])
     passed = np.array([1 if min(len(s.side_a), len(s.side_b)) == 1 else 2

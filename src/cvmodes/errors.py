@@ -7,22 +7,28 @@ arguments to ``ModeLabel``, ``QPlateSpec`` and ``opo_source``, and an empty
 returns for it in ``exit_code``: 2 for bad input (the default), 3 for a
 failed pipeline step, 4 for a numerical failure.
 
-The number rule: where cvmodes takes one number, that is a float or any
-other ``numbers.Real`` but a bool, so a Python or numpy float or integer.
-Anything else, such as a bool, a string (even ``"1.5"``), None, a list, an
-array (even a 0-d one) or a complex number, is refused, and so is an
-integer too large for a float:
+The number rule.  A number is a float or any other ``numbers.Real`` but a
+bool, so a Python or numpy float or integer; a bool, a string (even
+``"1.5"``), None, a list, an array (even a 0-d one), a complex number and
+an integer too large for a float are not.  An array of numbers is a
+number, an array of integer or float dtype or of objects that are
+numbers, or lists and tuples of these nested to any depth that numpy can
+stack; a bool or string array, or a list holding a bool, is not.
+What breaks the rule raises:
 
-- ``opo_source`` (``r``, ``eta``) and ``QPlateSpec`` (``q``, ``delta``)
-  raise ``ValueError``;
-- the ``band`` of the four deciders, ``run_pipeline`` and
-  ``reproduce_paper``, the ``delta`` and ``q`` of ``distribution_config``,
-  and each number of a state or config file raise ``ParseError``;
-- ``standard_form_matrix`` and ``make_standard_form`` (``a``, ``b``,
-  ``c1``, ``c2``) raise ``DimensionMismatch``.
+- ``DimensionMismatch`` from the API where it takes an array of numbers
+  (a mean, a covariance, a transform matrix, angles, a spectrum), and for
+  the ``a``, ``b``, ``c1``, ``c2`` of ``standard_form_matrix`` and
+  ``make_standard_form``;
+- ``ParseError`` from a file, for each number and array of numbers of a
+  state or config file, and for the ``band`` of the four deciders,
+  ``run_pipeline`` and ``reproduce_paper`` and the ``delta`` and ``q`` of
+  ``distribution_config``;
+- ``ValueError`` for ``opo_source`` (``r``, ``eta``) and ``QPlateSpec``
+  (``q``, ``delta``).
 
-Where an array of numbers is taken (a mean, a covariance, a transform
-matrix, angles, a spectrum), a complex entry raises DimensionMismatch.
+A message shows the refused value, but an integer of over 4,300 digits,
+which Python refuses to print, as ``<int too long to print>``.
 
 ``emit_report`` raises ParseError for a report that is not an
 ``EntanglementReport`` and for an unknown format.

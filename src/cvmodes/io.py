@@ -15,6 +15,10 @@ report and the reference run's document are one line of
 ``json.dumps(doc, sort_keys=True, separators=(",", ":"))`` plus a newline,
 except that a non-finite number is written as null.  JSON files are read
 as bytes, decoded as UTF-8 and parsed with ``json.loads``, in any layout.
+
+This module checks no numbers itself: a file's mean and cov go to the
+``GaussianState`` constructor as parsed, whose gate refuses what is not an
+array of numbers, and a single number must pass ``core._is_number``.
 """
 
 import csv
@@ -32,6 +36,7 @@ from .core import (
     ModeRegister,
     _is_number,
     _require_physical,
+    _shown,
 )
 from .errors import (
     ConventionMismatch,
@@ -134,30 +139,13 @@ def _state(register, mean, cov, where):
         raise ParseError(f"{where}: {exc}") from exc
 
 
-def _numbers(values, field, where):
-    """``values`` if each entry of its nested lists is a number, else ParseError.
-
-    numpy would read a JSON string such as "0.5" or a boolean as a number,
-    and null as NaN.  The lists are walked one nesting level at a time, so
-    the first bad entry reported is the first of the shallowest level.
-    """
-    level = [values]
-    while level:
-        deeper = []
-        for item in level:
-            kind = type(item)
-            if kind is list:
-                deeper.extend(item)
-            elif not _is_number(item):
-                raise ParseError(f"{where}.{field}: {item!r} is not a number")
-        level = deeper
-    return values
-
-
 def _number(mapping, key, where):
-    """``mapping[key]`` as a float: one number by the rule of :func:`_numbers`."""
+    """``mapping[key]`` as a float if it is one number, else ParseError."""
+    value = _require(mapping, key, where)
+    if not _is_number(value) and not isinstance(value, list):
+        raise ParseError(f"{where}.{key}: {_shown(value)} is not a number")
     try:
-        return float(_numbers(_require(mapping, key, where), key, where))
+        return float(value)
     except (TypeError, OverflowError) as exc:  # a list, or an over-long integer
         raise ParseError(f"{where}.{key}: not a number") from exc
 
@@ -183,8 +171,8 @@ def state_from_dict(data, require_physical=True, rescale=False, where="state"):
         )
 
     register = _parse_register(_require(data, "register", where), f"{where}.register")
-    state = _state(register, _numbers(_require(data, "mean", where), "mean", where),
-                   _numbers(_require(data, "cov", where), "cov", where), where)
+    state = _state(register, _require(data, "mean", where), _require(data, "cov", where),
+                   where)
 
     if not math.isclose(sn, SHOT_NOISE, rel_tol=0.0, abs_tol=1e-12):
         if not rescale:

@@ -30,6 +30,7 @@ from .core import (
     _is_number,
     _labels,
     _record,
+    _shown,
     _trusted,
     make_standard_form,
     symplectic_form,
@@ -251,13 +252,13 @@ class QPlateSpec:
             two_q = math.nan
         if (not math.isfinite(two_q) or abs(two_q - round(two_q)) > 1e-12
                 or round(two_q) == 0):
-            raise ValueError(f"2q must be a nonzero integer, got q={self.q}")
+            raise ValueError(f"2q must be a nonzero integer, got q={_shown(self.q, str)}")
         try:
             delta = float(self.delta) if _is_number(self.delta) else None
         except OverflowError:  # an integer too large for a float
             delta = None
         if delta is None:
-            raise ValueError(f"delta must be a number, got {self.delta!r}")
+            raise ValueError(f"delta must be a number, got {_shown(self.delta)}")
         object.__setattr__(self, "delta", delta % (2.0 * math.pi))
 
     @property
@@ -435,12 +436,13 @@ def opo_source(r, eta=1.0):
         :mod:`cvmodes.errors`, is out of range, or ``cosh(2r)`` overflows.
     """
     if not _is_number(r) or r < 0:
-        raise ValueError(f"squeezing parameter must be >= 0, got {r}")
+        raise ValueError(f"squeezing parameter must be >= 0, got {_shown(r, str)}")
     if not (_is_number(eta) and 0.0 < eta <= 1.0):
-        raise ValueError(f"efficiency must be in (0, 1], got {eta}")
+        raise ValueError(f"efficiency must be in (0, 1], got {_shown(eta, str)}")
     try:
         a = SHOT_NOISE * (eta * math.cosh(2.0 * r) + 1.0 - eta)
         c = SHOT_NOISE * eta * math.sinh(2.0 * r)
     except OverflowError as exc:
-        raise ValueError(f"squeezing parameter r = {r} overflows cosh(2r)") from exc
+        raise ValueError(
+            f"squeezing parameter r = {_shown(r, str)} overflows cosh(2r)") from exc
     return make_standard_form(_record(StandardFormParams, a=a, b=a, c1=c, c2=-c))

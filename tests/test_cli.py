@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 import warnings
 from pathlib import Path
@@ -8,12 +9,16 @@ import numpy as np
 import pytest
 
 from cvmodes import (
+    GaussianState,
+    ModeLabel,
+    ModeRegister,
     StandardFormParams,
     distribution_config,
     errors,
     make_standard_form,
     run_pipeline,
     save_state,
+    validate,
 )
 from cvmodes import cli, fixtures
 from cvmodes.cli import main
@@ -62,6 +67,48 @@ def test_validate_reports_unphysical_without_failing(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["physical"] is False
     assert report["min_heisenberg_eigenvalue"] == pytest.approx(-0.5)
+
+
+def _odd_tags_state():
+    register = ModeRegister((ModeLabel("H", 0, 'a"\\'), ModeLabel("V", 0, "bé☃")))
+    return make_standard_form(EXP, register)
+
+
+def _huge_diagonal_state():
+    # finite entries whose Heisenberg floor is NaN: cov + cov^T overflows
+    cov = 0.5 * np.eye(4)
+    cov[0, 0] = cov[3, 3] = 1e308
+    return GaussianState(make_standard_form(EXP).register, np.zeros(4), cov)
+
+
+VALIDATE_STATES = {
+    "sigma2_exp": lambda: load_state_fixture("sigma2_exp"),
+    "vacuum4": lambda: load_state_fixture("vacuum4"),
+    "odd tags": _odd_tags_state,
+    "NaN floor": _huge_diagonal_state,
+}
+
+
+@pytest.mark.parametrize("name", VALIDATE_STATES)
+def test_validate_json_has_the_bytes_of_json_dumps(tmp_path, capsys, name):
+    # the reference writer, but a NaN floor is written as null, as in a report
+    state = VALIDATE_STATES[name]()
+    path = tmp_path / "state.json"
+    save_state(state, path)
+    assert main(["--format", "json", "validate", str(path)]) == 0
+    report = validate(state)
+    floor = report.min_heisenberg_eigenvalue
+    doc = {
+        "symmetric": report.symmetric,
+        "physical": report.physical,
+        "min_heisenberg_eigenvalue": floor if math.isfinite(floor) else None,
+        "register": list(state.register.tags),
+    }
+    out = capsys.readouterr().out
+    assert out == json.dumps(doc, sort_keys=True) + "\n"
+    if name == "vacuum4":
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "880b7e427d3004c185b8fbd3cd467f522b5b14ff7c91f1ef3eae5aace4b7396f"
 
 
 def test_validate_parse_error_exit_code(tmp_path, capsys):

@@ -324,6 +324,79 @@ def test_complex_input_is_not_an_array_of_numbers():
             call()
 
 
+# every argument that takes an array of numbers: name in the message ->
+# (a valid value, call(value))
+ARRAY_ARGUMENTS = {
+    "mean": (np.zeros(4), lambda x: GaussianState(two_mode_register(), x, 0.5 * np.eye(4))),
+    "cov": (0.5 * np.eye(4), lambda x: GaussianState(two_mode_register(), np.zeros(4), x)),
+    "matrix": (np.eye(4),
+               lambda x: SymplecticTransform(x, two_mode_register(), two_mode_register())),
+    "angles": (np.array([0.1, 0.2]), lambda x: phase_rotation(two_mode_register(), x)),
+    "sigma": (0.5 * np.eye(4), symplectic_eigenvalues),
+    "nu_tilde": (np.array([0.3, 0.6]), log_negativity_from_spectrum),
+}
+
+
+def _with_first(values, entry):
+    """``values`` as nested lists, with its first entry replaced by ``entry``."""
+    out = values.tolist()
+    row = out
+    while isinstance(row[0], list):
+        row = row[0]
+    row[0] = entry
+    return out
+
+
+def _not_arrays_of_numbers(good):
+    # what numpy would read as numbers (or NaN), in the shape of ``good``
+    return {
+        "numeric strings": good.astype(str).tolist(),
+        "bools": (good != 0).tolist(),
+        "True among ints": _with_first(good.astype(int), True),
+        "bool ndarray": good != 0,
+        "None entry": _with_first(good, None),
+        "dict entry": _with_first(good, {}),
+        "0-d string": np.array("0.5"),
+        "bare True": True,
+    }
+
+
+@pytest.mark.parametrize("what", ARRAY_ARGUMENTS)
+def test_every_array_argument_follows_the_array_rule(what):
+    # the rule stated in the cvmodes.errors docstring, at every array gate
+    good, call = ARRAY_ARGUMENTS[what]
+    call(good)
+    for bad in _not_arrays_of_numbers(good).values():
+        with pytest.raises(DimensionMismatch,
+                           match=f"^{what} is not an array of numbers: .+"):
+            call(bad)
+
+
+def _unchecked_float_array(values):
+    # the conversion without the walk, as numpy does it
+    arr = np.array(values)
+    return arr if arr.dtype == float else np.array(values, dtype=float)
+
+
+@pytest.mark.parametrize("values", [
+    (0.5, 1, -2.0),
+    [[1, 0], [0, 1]],
+    [np.int64(3), np.float64(0.25), np.float32(0.1)],
+    np.array([[0.1, 0.2], [0.3, 0.4]], dtype=np.float32),
+    np.arange(6, dtype=np.uint8).reshape(2, 3),
+    [np.array([0.5, 0.0]), np.array([0.0, 0.5])],
+    ((0.5, 0.0), [0.0, np.int32(2)]),
+    np.array([0.7, 0.2]),
+    np.float64(0.3),
+    7,
+], ids=["tuple", "int list", "numpy scalars", "float32 array", "uint8 array",
+        "list of arrays", "mixed nesting", "float array", "numpy float", "int"])
+def test_accepted_arrays_keep_their_bits(values):
+    got = core._float_array(values, "x")
+    want = _unchecked_float_array(values)
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_state_rejects_non_finite_entries(bad):
     cov, mean = 0.5 * np.eye(4), np.zeros(4)

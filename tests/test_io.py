@@ -238,6 +238,12 @@ NOT_NUMBERS = {
                                               "ordering": "interleaved"}},
     "bool_shot_noise.json": {"convention": {"sn": True, "ordering": "interleaved"}},
 }
+# more entries of an array that are not numbers
+NOT_NUMBER_ENTRIES = {
+    "string_cov.json": {"cov": [["0.5", "0", "0", "0"], [0, 0.5, 0, 0], [0, 0, 0.5, 0],
+                                [0, 0, 0, 0.5]]},
+    "object_mean.json": {"mean": [{"re": 0}, 0, 0, 0]},
+}
 
 
 @pytest.mark.parametrize("name, content", [
@@ -262,6 +268,7 @@ NOT_NUMBERS = {
     ("repeated_label.json", {"register": [
         {"tag": "a", "polarization": "H", "oam": 0},
         {"tag": "a", "polarization": "H", "oam": 0}]}),
+    *NOT_NUMBER_ENTRIES.items(),
 ])
 def test_malformed_files_are_a_parse_error(tmp_path, name, content):
     path = tmp_path / name
@@ -275,9 +282,12 @@ def test_malformed_files_are_a_parse_error(tmp_path, name, content):
             load_cov_csv(path, parse_register_spec("a:H:0,b:V:0"))
         else:
             load_state(path, rescale=True)
-    if name in NOT_NUMBERS:
-        (field,) = NOT_NUMBERS[name]
-        assert field in str(info.value) and "is not a number" in str(info.value)
+    not_numbers = {**NOT_NUMBERS, **NOT_NUMBER_ENTRIES}
+    if name in not_numbers:
+        (field,) = not_numbers[name]
+        message = str(info.value)
+        assert message.startswith(f"{path}") and field in message, message
+        assert "is not a number" in message, message
 
 
 def _text_mode_read_json(path):

@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import re
+from functools import partial
 from itertools import combinations
 from pathlib import Path
 
@@ -38,7 +39,9 @@ from cvmodes import (
 from cvmodes import core, fixtures, transforms
 from cvmodes.errors import (
     DimensionMismatch,
+    IndexOutOfRange,
     NonPositiveDeterminant,
+    NotAPermutation,
     NumericalFailure,
     ParseError,
     PhysicalityViolation,
@@ -434,7 +437,7 @@ def _band_message(value):
 
 def _config_message(field):
     def message(value):
-        # a list of numbers passes the file reader's walk; float() then fails
+        # a list, of numbers or not, is not shown
         shown = "not a number" if isinstance(value, list) else f"{value!r} is not a number"
         return f"distribution_config.steps[0].{field}: {shown}"
     return message
@@ -505,6 +508,61 @@ def test_an_integer_too_large_for_a_float_raises_the_documented_error(
         assert type(got.value) is error, huge
         if name.startswith("QPlateSpec."):
             assert str(got.value) == message(huge)
+
+
+TOO_LONG = 10 ** 5000  # Python refuses to print an int of over 4,300 digits
+SHOWN = "<int too long to print>"
+
+
+def _pair_of_distributed(i, j):
+    return pairwise_entanglement_map(_distributed()).pair(i, j)
+
+
+# a refused argument that the message shows: (name, call, error, message)
+TOO_LONG_TO_PRINT = [
+    *[(name, partial(call, TOO_LONG), error, f"tolerance band must be finite and in "
+                                             f"[0, 0.5), got {SHOWN}")
+      for name, good, call, key, error, message in NUMBER_ARGUMENTS
+      if name.endswith(".band")],
+    ("reduce", lambda: core.reduce(_distributed(), [TOO_LONG]), IndexOutOfRange,
+     f"mode index {SHOWN} outside register of 4 modes"),
+    ("reduce.type", lambda: core.reduce(_distributed(), [TOO_LONG, "0"]), IndexOutOfRange,
+     "mode indices must be integers: <list too long to print>"),
+    ("reorder", lambda: core.reorder(_distributed(), [TOO_LONG, 0]), NotAPermutation,
+     "<list too long to print> is not a permutation of 0..3"),
+    ("ppt_verdict.bipartition",
+     lambda: ppt_verdict(_distributed(), Bipartition((TOO_LONG,), (1,))), IndexOutOfRange,
+     "bipartition <tuple too long to print>|(1,) does not cover the 4-mode register"),
+    ("Bipartition", lambda: Bipartition((TOO_LONG,), (TOO_LONG,)), IndexOutOfRange,
+     "bipartition sides must be nonempty with no index repeated: "
+     "<tuple too long to print> / <tuple too long to print>"),
+    ("EntanglementReport.pair", lambda: _pair_of_distributed(TOO_LONG, 0), IndexOutOfRange,
+     "pairwise table has no pair <tuple too long to print>"),
+    ("QPlateSpec.q", lambda: QPlateSpec(TOO_LONG, 1.0), ValueError,
+     f"2q must be a nonzero integer, got q={SHOWN}"),
+    ("QPlateSpec.delta", lambda: QPlateSpec(0.5, TOO_LONG), ValueError,
+     f"delta must be a number, got {SHOWN}"),
+    ("opo_source.r", lambda: opo_source(TOO_LONG, 0.9), ValueError,
+     f"squeezing parameter r = {SHOWN} overflows cosh(2r)"),
+    ("opo_source.r.sign", lambda: opo_source(-TOO_LONG, 0.9), ValueError,
+     f"squeezing parameter must be >= 0, got {SHOWN}"),
+    ("opo_source.eta", lambda: opo_source(0.5, TOO_LONG), ValueError,
+     f"efficiency must be in (0, 1], got {SHOWN}"),
+    ("distribution_config.delta", lambda: distribution_config(delta={0: TOO_LONG}), ParseError,
+     "distribution_config.steps[0].delta: <dict too long to print> is not a number"),
+    ("GaussianState.mean",
+     lambda: core.GaussianState(_distributed().register, [{0: TOO_LONG}] * 8, np.eye(8)),
+     DimensionMismatch, "mean is not an array of numbers: <dict too long to print> is not a "
+                        "number"),
+]
+
+
+@pytest.mark.parametrize("name, call, error, message", TOO_LONG_TO_PRINT,
+                         ids=[row[0] for row in TOO_LONG_TO_PRINT])
+def test_an_integer_too_long_to_print_keeps_the_documented_error(name, call, error, message):
+    with pytest.raises(Exception) as got:
+        call()
+    assert (type(got.value), str(got.value)) == (error, message)
 
 
 def test_distribution_config_takes_numpy_numbers():
