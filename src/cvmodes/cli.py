@@ -109,8 +109,7 @@ def _cmd_analyze(args):
 
 def _cmd_reproduce(args):
     outcome = reproduce_paper(band=args.tol)
-    json_out = args.json or args.format == "json"
-    render = reproduce_paper_json if json_out else reproduce_paper_text
+    render = reproduce_paper_json if args.format == "json" else reproduce_paper_text
     sys.stdout.buffer.write(render(outcome))
     return EXIT_OK
 
@@ -157,8 +156,9 @@ def build_parser():
     p = sub.add_parser("reproduce-paper",
                        help="run the bundled reference experiment "
                             "(hermetic, fixture inputs only)")
-    p.add_argument("--json", action="store_true",
-                   help="shorthand for --format json")
+    # SUPPRESS: without --json, the subcommand leaves --format's value alone
+    p.add_argument("--json", action="store_const", const="json", dest="format",
+                   default=argparse.SUPPRESS, help="shorthand for --format json")
     p.set_defaults(func=_cmd_reproduce)
     return parser
 

@@ -12,6 +12,7 @@ function of its inputs, so everything here is safe to share across
 concurrent workers.
 """
 
+import math
 import operator
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
@@ -49,6 +50,16 @@ CIRCULAR_POLARIZATIONS = frozenset({"L", "R"})
 # mode labels and registers
 # ---------------------------------------------------------------------------
 
+def _shown(value, form=repr):
+    """``form(value)``, ``repr`` or ``str``, for an error message; an int of
+    over 4,300 digits, which Python refuses to print, or a container
+    holding one, is shown as ``<int too long to print>`` (its type's name)."""
+    try:
+        return form(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+
+
 @dataclass(frozen=True)
 class ModeLabel:
     """Identity of one optical mode: polarization, OAM quanta, and a tag."""
@@ -61,20 +72,20 @@ class ModeLabel:
         if self.polarization not in POLARIZATIONS:
             raise ValueError(
                 f"polarization must be one of {POLARIZATIONS}, "
-                f"got {self.polarization!r}"
+                f"got {_shown(self.polarization)}"
             )
         if not isinstance(self.oam, (int, np.integer)) or isinstance(self.oam, bool):
-            raise ValueError(f"oam must be an integer, got {self.oam!r}")
+            raise ValueError(f"oam must be an integer, got {_shown(self.oam)}")
         object.__setattr__(self, "oam", int(self.oam))
         if not isinstance(self.tag, str) or not self.tag:
-            raise ValueError(f"tag must be a nonempty string, got {self.tag!r}")
+            raise ValueError(f"tag must be a nonempty string, got {_shown(self.tag)}")
 
     @property
     def is_circular(self):
         return self.polarization in CIRCULAR_POLARIZATIONS
 
     def __str__(self):
-        return f"{self.tag}[{self.polarization},{self.oam}]"
+        return f"{self.tag}[{self.polarization},{_shown(self.oam, str)}]"
 
 
 def _labels(modes):
@@ -83,10 +94,10 @@ def _labels(modes):
         modes = tuple(modes)
     except TypeError as exc:
         raise RegisterMismatch(
-            f"register modes {modes!r} are not a sequence of ModeLabels") from exc
+            f"register modes {_shown(modes)} are not a sequence of ModeLabels") from exc
     for m in modes:
         if not isinstance(m, ModeLabel):
-            raise RegisterMismatch(f"register mode {m!r} is not a ModeLabel")
+            raise RegisterMismatch(f"register mode {_shown(m)} is not a ModeLabel")
     return modes
 
 
@@ -111,7 +122,7 @@ class ModeRegister:
             raise ValueError("register needs at least one mode")
         key = tuple((m.polarization, m.oam, m.tag) for m in modes)
         if len(set(key)) != len(key):
-            raise DuplicateLabel(f"register labels are not distinct: {list(key)}")
+            raise DuplicateLabel(f"register labels are not distinct: {_shown(list(key))}")
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "tags", tuple(m.tag for m in modes))
 
@@ -137,12 +148,12 @@ class ModeRegister:
         for k, m in enumerate(self.modes):
             if m.tag == tag:
                 return k
-        raise IndexOutOfRange(f"no mode tagged {tag!r} in register {self.tags}")
+        raise IndexOutOfRange(f"no mode tagged {_shown(tag)} in register {self.tags}")
 
 
 def _check_register(register):
     if not isinstance(register, ModeRegister):
-        raise RegisterMismatch(f"register {register!r} is not a ModeRegister")
+        raise RegisterMismatch(f"register {_shown(register)} is not a ModeRegister")
 
 
 @cache
@@ -184,16 +195,6 @@ def _i_symplectic_form(n):
 def _is_number(value):
     """The number rule of :mod:`cvmodes.errors`: a float or a non-bool ``numbers.Real``."""
     return isinstance(value, float) or (isinstance(value, Real) and type(value) is not bool)
-
-
-def _shown(value, form=repr):
-    """``form(value)``, ``repr`` or ``str``, for an error message; an int of
-    over 4,300 digits, which Python refuses to print, or a container
-    holding one, is shown as ``<int too long to print>`` (its type's name)."""
-    try:
-        return form(value)
-    except ValueError:
-        return f"<{type(value).__name__} too long to print>"
 
 
 _FLOAT = np.dtype(float)
@@ -258,7 +259,8 @@ class GaussianState:
     code can still hold and inspect invalid matrices.  That report is
     computed once, on first use, and kept in :attr:`validity`; so are the
     photon total and purity.  ``run_pipeline`` fills both for its step
-    outputs in one pass (``_measure``).
+    outputs in one pass (``_measure``).  Only the waveplate relabel's
+    output shares another state's kept report and facts.
     """
 
     register: ModeRegister
@@ -296,19 +298,17 @@ class GaussianState:
         )
 
 
-def _trusted(register, mean, cov, kept=()):
+def _trusted(register, mean, cov):
     """A state from arrays made from checked ones: no copy and no second gate.
 
     ``mean`` and ``cov`` must be finite arrays of the register's shape:
     gathered from or padded around arrays that passed the constructor's
     gate (padding is zeros and SHOT_NOISE only), or computed from them and
     checked with ``_check_finite``; they are marked read-only.
-    ``kept`` is the ``__dict__`` of a state on the same arrays, whose kept
-    :attr:`validity` report and photon total and purity the result shares.
     """
     mean.flags.writeable = False
     cov.flags.writeable = False
-    return _record(GaussianState, **dict(kept, register=register, mean=mean, cov=cov))
+    return _record(GaussianState, register=register, mean=mean, cov=cov)
 
 
 def _record(cls, **fields):
@@ -396,7 +396,7 @@ def standard_form_matrix(params):
     for name, value in (("a", a), ("b", b), ("c1", c1), ("c2", c2)):
         if not _is_number(value):
             raise DimensionMismatch(
-                f"cov is not an array of numbers: {name} = {value!r} is not a number")
+                f"cov is not an array of numbers: {name} = {_shown(value)} is not a number")
     return np.array(
         [
             [a, 0.0, c1, 0.0],
@@ -461,11 +461,18 @@ def min_heisenberg_eigenvalue(cov):
     shape (..., 2n, 2n), which gives an array of shape (...): one
     eigen-call, and for each matrix the bits of a call on it alone.  An
     asymmetric matrix is symmetrized first.  Raises NumericalFailure if
-    the eigensolver fails (entries overflow) on any matrix.
+    entries overflow there, so that the eigensolver fails or a floor is
+    not finite, on any matrix.
     """
     with np.errstate(over="ignore"):
         floor = 0.5 * _heisenberg_floor(cov + np.swapaxes(cov, -1, -2))
-    return float(floor) if cov.ndim == 2 else floor
+    if cov.ndim == 2:
+        floor = float(floor)
+        if math.isfinite(floor):
+            return floor
+    elif np.isfinite(floor).all():
+        return floor
+    raise NumericalFailure("Heisenberg eigenvalues: not finite (entries overflow)")
 
 
 def validate(state):

@@ -271,11 +271,11 @@ def _decide(cov, table, band, escalate):
     one matrix whose partial-transpose code is at least ``escalate`` (0:
     all, 2: the open ones, 3: none) go on to one :func:`_gklc` call per
     side-A size.  A split escalates only on one matrix ``cov``; when any
-    does, its :func:`_g_inverse` is taken once, and where G passes the
-    _G_RATIO test the side-A blocks of that inverse start each call
-    (else round 1 takes the pseudo-inverse).  Positive definiteness is
-    checked after the partial transpose, since it needs no spectrum of
-    ``cov`` when that inverse exists, but before any :func:`_gklc` call.
+    does, its :func:`_g_inverse` is taken once and its side-A blocks pick
+    round 1's route in each call (see :func:`iterative_separability`).
+    Positive definiteness is checked after the partial transpose, since
+    it needs no spectrum of ``cov`` when that inverse exists, but before
+    any :func:`_gklc` call.
     """
     _check_band(band)
     _check_symmetric(cov)
@@ -330,13 +330,10 @@ def _gklc(gamma, m, band, g_inv_a=None):
     recursion on each slice alone: every round, over the slices still
     without a certificate, takes ||C||_2 from one stacked ``eigvalsh`` of
     the Gram matrices C C^T and makes one stacked Hermitian eigen-call, of
-    B + i J_B (round 1 also takes the floor of A).  Given
-    ``g_inv_a``, the side-A blocks of :func:`_g_inverse`, which
-    :func:`_decide` passes wherever G passes the _G_RATIO test, round 1
-    takes X from one stacked inverse instead, and B's floor only where
-    A's passes the norm test (see :func:`iterative_separability`);
-    without them round 1 takes the pseudo-inverse of B - i J_B.
-    DEFAULT_MAX_ITER and DEFAULT_ITER_TOL are read at call time.
+    B + i J_B (round 1 also takes the floor of A).  ``g_inv_a``, the
+    side-A blocks of :func:`_g_inverse` or None, picks round 1's route
+    (see :func:`iterative_separability`).  DEFAULT_MAX_ITER and
+    DEFAULT_ITER_TOL are read at call time.
     """
     a_blk = gamma[:, : 2 * m, : 2 * m]
     b_blk = gamma[:, 2 * m:, 2 * m:]

@@ -32,6 +32,12 @@ which Python refuses to print, as ``<int too long to print>``.
 
 ``emit_report`` raises ParseError for a report that is not an
 ``EntanglementReport`` and for an unknown format.
+
+A missing or unreadable file raises ``OSError``; the CLI exits 2 on it.
+Out of contract, with no guard and no promised error: a non-state where
+a ``GaussianState`` is expected, a non-``StandardFormParams``, a
+non-array passed to ``min_heisenberg_eigenvalue``, and anything but a
+non-negative int passed to ``symplectic_form``.
 """
 
 

@@ -63,20 +63,9 @@ def _json_scalar(value):
     return int.__repr__(value)
 
 
-def state_to_dict(state):
-    return {
-        "convention": {"sn": SHOT_NOISE, "ordering": ORDERING},
-        "register": [
-            {"tag": m.tag, "polarization": m.polarization, "oam": m.oam}
-            for m in state.register
-        ],
-        "mean": state.mean.tolist(),
-        "cov": state.cov.tolist(),
-    }
-
-
 def _state_text(state):
-    """A state file's text: :func:`state_to_dict` as ``json.dumps(..., indent=2)``.
+    """A state file's text: the bytes of ``json.dumps(doc, indent=2)`` plus a
+    newline for the state's document (``state_to_dict`` of the test oracles).
 
     Numbers are written as ``json`` writes them (``repr``; a state's
     entries are finite), and strings through :func:`_json_str`.
@@ -166,7 +155,7 @@ def state_from_dict(data, require_physical=True, rescale=False, where="state"):
         raise ParseError(f"{where}.convention.sn must be finite and > 0, got {sn}")
     if ordering != ORDERING:
         raise ConventionMismatch(
-            f"unsupported quadrature ordering {ordering!r}; this toolkit "
+            f"unsupported quadrature ordering {_shown(ordering)}; this toolkit "
             f"reads {ORDERING!r} files only"
         )
 
@@ -192,7 +181,7 @@ def _check_path(path):
     """ParseError unless ``path`` is a str, bytes or os.PathLike: ``open``
     would take an int or a bool as a file descriptor, and close it."""
     if not isinstance(path, (str, bytes, os.PathLike)):
-        raise ParseError(f"path must be a str, bytes or os.PathLike, got {path!r}")
+        raise ParseError(f"path must be a str, bytes or os.PathLike, got {_shown(path)}")
 
 
 def read_json(path):

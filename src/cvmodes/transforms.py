@@ -21,6 +21,7 @@ import numpy as np
 
 from .core import (
     SHOT_NOISE,
+    GaussianState,
     ModeLabel,
     ModeRegister,
     StandardFormParams,
@@ -161,14 +162,14 @@ def quarter_waveplate_relabel(state):
     """Move every mode to the circular basis: H -> L, V -> R, labels only.
 
     The waveplate only fixes the basis in which the q-plate coupling is
-    written, so the result shares the input's read-only mean, covariance
-    matrix and the facts it has kept when the relabel runs (validity
-    report, photon total and purity); a caller that wants them shared
-    measures the input first, as ``run_pipeline`` does with its source.
-    Raises BadPolarization if any mode is already circular.
+    written, so the result shares the input's read-only mean and
+    covariance matrix, and also the validity report, photon total and
+    purity the input has kept by the time the relabel runs.  No other
+    operation shares another state's kept facts.  Raises BadPolarization
+    if any mode is already circular.
     """
     register = _circular_register(state.register)
-    return _trusted(register, state.mean, state.cov, state.__dict__)
+    return _record(GaussianState, **dict(state.__dict__, register=register))
 
 
 @lru_cache(maxsize=64)
@@ -302,7 +303,7 @@ def _qplate_layout(shift, register):
         matches = [j for j, key in enumerate(keys) if key == partner]
         if not matches:
             raise UnpairedMode(
-                f"mode {mode} has no partner [{partner[0]},{partner[1]}] in "
+                f"mode {mode} has no partner [{partner[0]},{_shown(partner[1], str)}] in "
                 "the register; embed the vacuum modes first"
             )
         if len(matches) > 1:

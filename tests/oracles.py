@@ -21,6 +21,20 @@ def heisenberg_min_eig(cov):
     return np.linalg.eigvalsh(cov + 0.5j * omega_kron(n)).min()
 
 
+def state_to_dict(state):
+    """The document of a state file; ``json.dumps(doc, indent=2)`` plus a
+    newline is the text ``cvmodes.io._state_text`` writes."""
+    return {
+        "convention": {"sn": SN, "ordering": "interleaved"},
+        "register": [
+            {"tag": m.tag, "polarization": m.polarization, "oam": m.oam}
+            for m in state.register
+        ],
+        "mean": state.mean.tolist(),
+        "cov": state.cov.tolist(),
+    }
+
+
 def std_form_matrix(a, b, c1, c2):
     return np.array(
         [[a, 0, c1, 0], [0, a, 0, c2], [c1, 0, b, 0], [0, c2, 0, b]],

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import state_to_dict
+from test_pipeline import REPRODUCE_JSON_SHA256
 
 from cvmodes import (
     GaussianState,
@@ -23,7 +25,6 @@ from cvmodes import (
 from cvmodes import cli, fixtures
 from cvmodes.cli import main
 from cvmodes.fixtures import load_state_fixture
-from cvmodes.io import state_to_dict
 
 EXP = StandardFormParams(0.72, 0.72, 0.51, -0.51)
 
@@ -75,7 +76,8 @@ def _odd_tags_state():
 
 
 def _huge_diagonal_state():
-    # finite entries whose Heisenberg floor is NaN: cov + cov^T overflows
+    # finite entries whose Heisenberg floor is not finite: cov + cov^T
+    # overflows on the diagonal
     cov = 0.5 * np.eye(4)
     cov[0, 0] = cov[3, 3] = 1e308
     return GaussianState(make_standard_form(EXP).register, np.zeros(4), cov)
@@ -85,7 +87,6 @@ VALIDATE_STATES = {
     "sigma2_exp": lambda: load_state_fixture("sigma2_exp"),
     "vacuum4": lambda: load_state_fixture("vacuum4"),
     "odd tags": _odd_tags_state,
-    "NaN floor": _huge_diagonal_state,
 }
 
 
@@ -150,6 +151,8 @@ def test_rescale_flag(tmp_path, capsys):
     ({"mean": [10 ** 400, 0, 0, 0]}, [], 2),
     ({"cov": [[10 ** 400] * 4] * 4}, [], 2),
     ({"convention": {"sn": 10 ** 400, "ordering": "interleaved"}}, [], 2),
+    # cov + cov^T overflows on the diagonal only, so the floor is not finite
+    ({"cov": _huge_diagonal_state().cov.tolist()}, [], 4),
 ])
 def test_overflowing_state_file_exits_with_one_error_line(
         tmp_path, capsys, command, changes, flags, code):
@@ -389,11 +392,21 @@ def test_reproduce_paper_text(capsys):
     assert "<= 1e-12: True" in out
     assert "0.3550" in out
     assert "typo cell [3, 2]" in out
+    # an explicit --format text prints the same text, but the elapsed time
+    assert main(["--format", "text", "reproduce-paper"]) == 0
+    assert capsys.readouterr().out.splitlines()[:-1] == out.splitlines()[:-1]
 
 
-def test_reproduce_paper_json(capsys):
-    assert main(["reproduce-paper", "--json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
+@pytest.mark.parametrize("argv", [
+    ["reproduce-paper", "--json"],
+    ["--format", "json", "reproduce-paper"],
+    ["--format", "text", "reproduce-paper", "--json"],
+], ids=" ".join)
+def test_reproduce_paper_json(capsys, argv):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == REPRODUCE_JSON_SHA256
+    doc = json.loads(out)
     assert doc["comparisons"]["exact_match_1e-12"] is True
     assert doc["comparisons"]["printed_match_0.015"] is True
     pairs = {tuple(p["modes"]): p["status"] for p in doc["report"]["pairwise"]}

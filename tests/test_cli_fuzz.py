@@ -17,10 +17,10 @@ import json
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from oracles import state_to_dict
 
 from cvmodes import StandardFormParams, make_standard_form, save_state
 from cvmodes.cli import main
-from cvmodes.io import state_to_dict
 from cvmodes.transforms import opo_source
 
 FUZZ = settings(

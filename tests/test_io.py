@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from oracles import random_mixed_cov
+from oracles import random_mixed_cov, state_to_dict
 
 from cvmodes import (
     GaussianState,
@@ -19,7 +19,7 @@ from cvmodes import (
 )
 from cvmodes.errors import ConventionMismatch, ParseError, PhysicalityViolation
 from cvmodes.fixtures import load_matrix_fixture, load_state_fixture
-from cvmodes.io import _state_text, parse_register_spec, read_json, state_to_dict
+from cvmodes.io import _state_text, parse_register_spec, read_json
 from cvmodes.pipeline import PipelineConfig
 
 EXP = StandardFormParams(0.72, 0.72, 0.51, -0.51)

@@ -38,16 +38,22 @@ from cvmodes import (
 )
 from cvmodes import core, fixtures, transforms
 from cvmodes.errors import (
+    BadPolarization,
+    ConventionMismatch,
     DimensionMismatch,
+    DuplicateLabel,
     IndexOutOfRange,
     NonPositiveDeterminant,
     NotAPermutation,
+    NotCircular,
     NumericalFailure,
     ParseError,
     PhysicalityViolation,
     PipelineStepError,
+    RegisterMismatch,
+    UnpairedMode,
 )
-from cvmodes.io import load_state
+from cvmodes.io import load_state, save_state, state_from_dict
 from cvmodes.pipeline import (
     PipelineConfig,
     PipelineResult,
@@ -512,6 +518,7 @@ def test_an_integer_too_large_for_a_float_raises_the_documented_error(
 
 TOO_LONG = 10 ** 5000  # Python refuses to print an int of over 4,300 digits
 SHOWN = "<int too long to print>"
+_HUGE_OAM = ModeLabel("L", TOO_LONG, "a")
 
 
 def _pair_of_distributed(i, j):
@@ -554,6 +561,55 @@ TOO_LONG_TO_PRINT = [
      lambda: core.GaussianState(_distributed().register, [{0: TOO_LONG}] * 8, np.eye(8)),
      DimensionMismatch, "mean is not an array of numbers: <dict too long to print> is not a "
                         "number"),
+    ("vacuum_state", lambda: core.vacuum_state(TOO_LONG), RegisterMismatch,
+     f"register {SHOWN} is not a ModeRegister"),
+    ("ModeRegister", lambda: ModeRegister((TOO_LONG,)), RegisterMismatch,
+     f"register mode {SHOWN} is not a ModeLabel"),
+    ("ModeRegister.modes", lambda: ModeRegister(TOO_LONG), RegisterMismatch,
+     f"register modes {SHOWN} are not a sequence of ModeLabels"),
+    ("ModeRegister.duplicate", lambda: ModeRegister((_HUGE_OAM,) * 2), DuplicateLabel,
+     "register labels are not distinct: <list too long to print>"),
+    ("ModeRegister.index", lambda: core.two_mode_register().index(TOO_LONG), IndexOutOfRange,
+     f"no mode tagged {SHOWN} in register ('a', 'b')"),
+    ("ModeLabel.polarization", lambda: ModeLabel(TOO_LONG, 0, "a"), ValueError,
+     f"polarization must be one of ('H', 'V', 'L', 'R'), got {SHOWN}"),
+    ("ModeLabel.oam", lambda: ModeLabel("H", [TOO_LONG], "a"), ValueError,
+     "oam must be an integer, got <list too long to print>"),
+    ("ModeLabel.tag", lambda: ModeLabel("H", 0, TOO_LONG), ValueError,
+     f"tag must be a nonempty string, got {SHOWN}"),
+    ("save_state", lambda: save_state(make_standard_form(EXP), TOO_LONG), ParseError,
+     f"path must be a str, bytes or os.PathLike, got {SHOWN}"),
+    ("distribution_config.analyses", lambda: distribution_config(analyses=[TOO_LONG]),
+     ParseError, f"distribution_config.analyses: unknown analysis {SHOWN}; "
+                 "choose from ('validate', 'pairwise', 'scan', 'purity', 'photons')"),
+    ("distribution_config.analyses.iterable", lambda: distribution_config(analyses=TOO_LONG),
+     ParseError, f"distribution_config.analyses: not an iterable of names, got {SHOWN}"),
+    ("distribution_config.source", lambda: distribution_config(source={"kind": TOO_LONG}),
+     ParseError, "distribution_config.source: needs a 'kind' of file|standard_form|opo, "
+                 f"got {SHOWN}"),
+    ("PipelineConfig.op", lambda: PipelineConfig.from_dict({"steps": [{"op": TOO_LONG}]}),
+     ParseError, f"config.steps[0].op must be one of waveplate|embed|qplate|reorder, "
+                 f"got {SHOWN}"),
+    ("qplate_pairing", lambda: transforms.qplate_pairing(
+        QPlateSpec(0.5, 1.0), ModeRegister((ModeLabel("H", TOO_LONG, "a"),))), NotCircular,
+     f"mode a[H,{SHOWN}] is not circularly polarized"),
+    ("qplate_pairing.partner", lambda: transforms.qplate_pairing(
+        QPlateSpec(0.5, 1.0), ModeRegister((_HUGE_OAM,))), UnpairedMode,
+     f"mode a[L,{SHOWN}] has no partner [R,{SHOWN}] in the register; "
+     "embed the vacuum modes first"),
+    ("quarter_waveplate_relabel", lambda: transforms.quarter_waveplate_relabel(
+        core.vacuum_state(ModeRegister((_HUGE_OAM,)))), BadPolarization,
+     f"mode a[L,{SHOWN}] is not linearly polarized; waveplate relabel expects H/V modes"),
+    ("emit_report.format",
+     lambda: emit_report(pairwise_entanglement_map(_distributed()), TOO_LONG), ParseError,
+     f"unknown report format {SHOWN}"),
+    ("standard_form_matrix", lambda: make_standard_form(StandardFormParams([TOO_LONG], 1, 0, 0)),
+     DimensionMismatch, "cov is not an array of numbers: a = <list too long to print> is not "
+                        "a number"),
+    ("state_from_dict.ordering",
+     lambda: state_from_dict({"convention": {"sn": 0.5, "ordering": TOO_LONG}}),
+     ConventionMismatch, f"unsupported quadrature ordering {SHOWN}; this toolkit reads "
+                         "'interleaved' files only"),
 ]
 
 
