@@ -12,7 +12,7 @@ import argparse
 import functools
 import sys
 
-from .core import validate
+from .core import _validity
 from .entanglement import THRESHOLD_BAND, _check_band
 from .errors import CVModesError, ParseError
 from .io import (
@@ -52,7 +52,7 @@ def _load_input(args, require_physical=True):
 
 def _cmd_validate(args):
     state = _load_input(args, require_physical=False)
-    report = validate(state)
+    report = _validity(state, args.file)
     if args.format == "json":
         # json.dumps(doc, sort_keys=True) of the report and the tags
         sys.stdout.write(

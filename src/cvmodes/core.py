@@ -487,9 +487,17 @@ def validate(state):
     return state.validity
 
 
+def _validity(state, where):
+    """:func:`validate` of ``state``; a NumericalFailure names ``where`` first."""
+    try:
+        return state.validity
+    except NumericalFailure as exc:
+        raise NumericalFailure(f"{where}: {exc}") from exc
+
+
 def _require_physical(state, where):
     """``state`` if :func:`validate` finds it physical, else PhysicalityViolation."""
-    report = state.validity
+    report = _validity(state, where)
     if not report.physical:
         min_eig = report.min_heisenberg_eigenvalue
         problem = (f"violates the Heisenberg bound (min eigenvalue {min_eig:.3e})"

@@ -15,7 +15,9 @@ transpose of every split, and one recursion per side-A size escalates
 the splits it leaves open.
 
 Witness semantics are conservative: values inside the one-sided numerical
-band below the threshold report Separable rather than falsely Entangled.
+band below the threshold report Separable rather than falsely Entangled,
+and so does a split with zero cross-covariance (every side-A x side-B
+entry at most 64 eps max|cov|), which is a product whatever its witness.
 """
 
 import enum
@@ -52,6 +54,9 @@ DEFAULT_ITER_TOL = 1e-10
 
 _G_RATIO = 1e-6
 """Least lambda_min / lambda_max of G = 2 cov - i J for round 1 from inv(G)."""
+
+_PRODUCT_RATIO = 64 * np.finfo(float).eps
+"""Largest cross entry / max|cov| of a split that is decided a product."""
 
 
 class Status(str, enum.Enum):
@@ -275,7 +280,9 @@ def _decide(cov, table, band, escalate):
     round 1's route in each call (see :func:`iterative_separability`).
     Positive definiteness is checked after the partial transpose, since
     it needs no spectrum of ``cov`` when that inverse exists, but before
-    any :func:`_gklc` call.
+    any :func:`_gklc` call.  Last, a split found Entangled is Separable
+    when its slice is a product across it (see :func:`_products`); its
+    other fields stay as computed.
     """
     _check_band(band)
     _check_symmetric(cov)
@@ -297,12 +304,37 @@ def _decide(cov, table, band, escalate):
         g_inv_a = None if g_inv is None else g_inv.take(order[group, : 2 * m, : 2 * m])
         for k, decided in zip(group, _gklc(2.0 * cov.take(order[group]), m, band, g_inv_a)):
             codes[k], iterations[k] = decided
+    if 0 in codes:
+        products = _products(cov, masks)
+        if products is not None:
+            codes = [1 if c == 0 and p else c for c, p in zip(codes, products.tolist())]
     return [
         _record(EntanglementVerdict, status=_STATUSES[c], witness=w, log_negativity=logneg,
                 method=Method.PPT if it is None else Method.ITERATIVE, iterations=it)
         for c, w, logneg, it in zip(codes, witness.tolist(),
                                     _log_negativity(spectra).tolist(), iterations)
     ]
+
+
+def _products(cov, masks):
+    """Whether each split of the sign ``masks`` is a product on its slice of
+    ``cov``, or None when every pair of modes of every slice is linked.
+
+    Modes i and j are linked when an entry of their 2x2 block exceeds
+    _PRODUCT_RATIO max|cov| of the slice; a split is a product when no
+    linked pair crosses it, as a Gaussian state with zero cross-covariance
+    is a product state (Weedbrook et al., Rev. Mod. Phys. 84, 621 (2012)).
+    A mask's (Y_i, Y_j) entry is -1 exactly when i and j are on two sides.
+    """
+    magnitude = np.abs(cov)
+    # the largest |entry| of each 2x2 block: two elementwise maxima of
+    # strided views cost less than one reduction over two axes
+    columns = np.maximum(magnitude[..., 0::2], magnitude[..., 1::2])
+    blocks = np.maximum(columns[..., 0::2, :], columns[..., 1::2, :])
+    linked = blocks > _PRODUCT_RATIO * blocks.max(axis=(-2, -1), keepdims=True)
+    if linked.all():
+        return None
+    return ~(linked & (masks[:, 1::2, 1::2] < 0)).any(axis=(-2, -1))
 
 
 def ppt_verdict(state, bipartition, band=THRESHOLD_BAND):

@@ -11,12 +11,11 @@
   breaks symmetry (the closed form forces 0 there).
 
 The files are package data, so each is read, decoded and checked once
-per process and the result is cached.  Every loader call returns fresh
-objects: a new state on the cached state's read-only arrays, or a new
-writable copy of the matrix and annotations, so a caller that changes
-them changes no later load.  ``reproduce_paper`` runs on the cached
-objects themselves, so the source's diagnostics are computed once per
-process and kept with it.
+per process and the result is cached.  A state fixture is one shared
+immutable state: every load returns the same object, whose report and
+facts are computed once and kept.  A matrix fixture is a fresh writable
+copy of the matrix and annotations per call, so a caller that changes
+them changes no later load.
 """
 
 import copy
@@ -25,7 +24,6 @@ from importlib import resources
 
 import numpy as np
 
-from ..core import _trusted
 from ..errors import ParseError
 from ..io import read_json, state_from_dict
 
@@ -57,10 +55,9 @@ def _check_name(name, kind, available):
 
 
 def load_state_fixture(name):
-    """Load one of the bundled state fixtures by name."""
+    """The bundled state fixture ``name``: the same shared state on every call."""
     _check_name(name, "state", STATE_FIXTURES)
-    state = _read(name)
-    return _trusted(state.register, state.mean, state.cov)
+    return _read(name)
 
 
 def load_matrix_fixture(name):

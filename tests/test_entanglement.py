@@ -49,6 +49,7 @@ from cvmodes.errors import (
     IndexOutOfRange,
     NumericalFailure,
     ParseError,
+    PipelineStepError,
 )
 
 from oracles import (
@@ -1041,6 +1042,54 @@ def test_every_distributed_verdict_matches_the_exact_map():
             assert verdict.status.value == expected, (r, eta, delta, side_a, side_b)
         checked += len(splits)
     assert checked == 240 * (6 + 7)
+
+
+# a pure source at delta = 0 leaves a2 and b2 in vacuum, at delta = pi a1
+# and b1: the splits that cut off only those modes are products, whatever
+# the float64 witness of their partial transpose (down to 0.359 at r = 9)
+@pytest.mark.parametrize("delta, r, product_sides", [
+    *((0.0, r, [(1,), (3,), (0, 2)]) for r in (4.55, 4.63, 5.5, 7.0, 8.0, 9.0)),
+    *((np.pi, r, [(0,), (2,), (0, 2)]) for r in (4.55, 4.63, 7.0, 8.0, 9.0)),
+])
+def test_pure_source_product_splits_are_separable(delta, r, product_sides):
+    report = run_pipeline(distribution_config(
+        source={"kind": "opo", "r": r, "eta": 1.0}, delta=delta)).report
+    verdicts = {s.side_a: v for s, v in report.bipartitions}
+    for side_a in product_sides:
+        verdict = verdicts[side_a]
+        assert verdict.status is Status.SEPARABLE, (side_a, verdict)
+        # the partial transpose's fields are kept as it computed them
+        assert verdict.witness < 0.5 - THRESHOLD_BAND and verdict.log_negativity > 0.0
+        assert verdict.method is Method.PPT and verdict.iterations is None
+    assert verdicts[(0, 1)].status is Status.ENTANGLED
+
+
+def test_strongly_squeezed_distributed_verdicts_match_the_exact_map():
+    # r up to 9; every 5th source is pure, and delta cycles through 0,
+    # pi/2, pi and a uniform draw, so pure sources meet all four
+    rng = np.random.default_rng(32)
+    checked = failed = 0
+    for k in range(400):
+        r, eta = rng.uniform(0.05, 9.0), rng.uniform(0.1, 1.0)
+        drawn = rng.uniform(0.0, 2.0 * np.pi)
+        eta = 1.0 if k % 5 == 0 else eta
+        delta = (0.0, np.pi / 2.0, np.pi, drawn)[k % 4]
+        try:
+            report = run_pipeline(distribution_config(
+                source={"kind": "opo", "r": r, "eta": eta}, delta=delta)).report
+        except PipelineStepError as exc:
+            # a pure source from r = 8.15 on can fail its own Heisenberg
+            # check in float64, so it reaches no decision
+            assert exc.step_index == 0 and eta == 1.0 and r > 8.15, (r, eta)
+            failed += 1
+            continue
+        splits = [((i,), (j,), v) for (i, j), v in report.pairwise.items()]
+        splits += [(s.side_a, s.side_b, v) for s, v in report.bipartitions]
+        for side_a, side_b, verdict in splits:
+            expected = distributed_status(side_a, side_b, delta)
+            assert verdict.status.value == expected, (r, eta, delta, side_a, side_b)
+        checked += len(splits)
+    assert failed <= 4 and checked == (400 - failed) * (6 + 7), failed
 
 
 def test_pairwise_map_vacuum_all_separable():
