@@ -37,17 +37,15 @@ EXIT_OK = 0
 
 
 def _load_input(args, require_physical=True):
-    if args.file.endswith(".csv"):
-        if not args.register:
-            raise ParseError(
-                "CSV input carries the covariance matrix only; pass the "
-                "register via --register tag:pol:oam,..."
-            )
-        register = parse_register_spec(args.register)
-        return load_cov_csv(args.file, register,
-                            require_physical=require_physical)
-    return load_state(args.file, require_physical=require_physical,
-                      rescale=args.rescale)
+    # the extension is matched in any case: S.CSV is a CSV file too
+    if not args.file.lower().endswith(".csv"):
+        return load_state(args.file, require_physical=require_physical,
+                          rescale=args.rescale)
+    if not args.register:
+        raise ParseError("CSV input carries the covariance matrix only; pass the "
+                         "register via --register tag:pol:oam,...")
+    return load_cov_csv(args.file, parse_register_spec(args.register),
+                        require_physical=require_physical)
 
 
 def _cmd_validate(args):

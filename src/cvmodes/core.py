@@ -156,36 +156,35 @@ def _check_register(register):
         raise RegisterMismatch(f"register {_shown(register)} is not a ModeRegister")
 
 
-@cache
+_TWO_MODE_REGISTER = ModeRegister((ModeLabel("H", 0, "a"), ModeLabel("V", 0, "b")))
+
+
 def two_mode_register():
     """Default register of a two-mode source: a[H,0] and b[V,0].
 
-    Built once: every call returns the same immutable register.
+    Built once, at import: every call returns the same immutable register.
     """
-    return ModeRegister((ModeLabel("H", 0, "a"), ModeLabel("V", 0, "b")))
+    return _TWO_MODE_REGISTER
 
 
-@cache
 def symplectic_form(n):
     """Symplectic form Omega for n modes: direct sum of [[0, 1], [-1, 0]].
 
     The array is built once per ``n`` and cached: repeated calls return
     the same read-only object, so callers must copy before writing.
     """
-    block = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    out = np.zeros((2 * n, 2 * n))
-    for k in range(n):
-        out[2 * k: 2 * k + 2, 2 * k: 2 * k + 2] = block
-    out.flags.writeable = False
-    return out
+    return _symplectic_forms(n)[0]
 
 
 @cache
-def _i_symplectic_form(n):
-    """Read-only ``1j * symplectic_form(n)``, built once per ``n``."""
-    out = 1j * symplectic_form(n)
-    out.flags.writeable = False
-    return out
+def _symplectic_forms(n):
+    """Read-only Omega and i Omega of n modes, built together once per ``n``."""
+    omega = np.zeros((2 * n, 2 * n))
+    for k in range(n):
+        omega[2 * k: 2 * k + 2, 2 * k: 2 * k + 2] = ((0.0, 1.0), (-1.0, 0.0))
+    i_omega = 1j * omega
+    omega.flags.writeable = i_omega.flags.writeable = False
+    return omega, i_omega
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +446,7 @@ def _heisenberg_floor(gamma):
 
     Not symmetrized: ``eigvalsh`` reads only the lower triangle of gamma.
     """
-    i_omega = _i_symplectic_form(gamma.shape[-1] // 2)
+    i_omega = _symplectic_forms(gamma.shape[-1] // 2)[1]
     try:
         return np.linalg.eigvalsh(gamma + i_omega)[..., 0]
     except np.linalg.LinAlgError as exc:

@@ -34,11 +34,11 @@ from .core import (
     _float_array,
     _gather,
     _heisenberg_floor,
-    _i_symplectic_form,
     _is_number,
     _mode_indices,
     _shown,
     _record,
+    _symplectic_forms,
     symplectic_form,
 )
 from .errors import IndexOutOfRange, NumericalFailure, ParseError
@@ -370,8 +370,8 @@ def _gklc(gamma, m, band, g_inv_a=None):
     a_blk = gamma[:, : 2 * m, : 2 * m]
     b_blk = gamma[:, 2 * m:, 2 * m:]
     c_blk = gamma[:, : 2 * m, 2 * m:]
-    ij_a = _i_symplectic_form(m)
-    ij_b = _i_symplectic_form(gamma.shape[-1] // 2 - m)
+    ij_a = _symplectic_forms(m)[1]
+    ij_b = _symplectic_forms(gamma.shape[-1] // 2 - m)[1]
     # gamma = 2 cov, so the physicality floor doubles too
     ent_eps = 2.0 * band
 
@@ -437,7 +437,7 @@ def _g_inverse(cov):
     factor alone is no such test: it exists for near-pure states whose
     inverse blocks are singular in float64.
     """
-    g = 2.0 * cov - _i_symplectic_form(cov.shape[-1] // 2)
+    g = 2.0 * cov - _symplectic_forms(cov.shape[-1] // 2)[1]
     spectrum = np.linalg.eigvalsh(g)
     if spectrum[0] <= _G_RATIO * spectrum[-1]:
         return None

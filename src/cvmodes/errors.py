@@ -34,10 +34,20 @@ which Python refuses to print, as ``<int too long to print>``.
 ``EntanglementReport`` and for an unknown format.
 
 A missing or unreadable file raises ``OSError``; the CLI exits 2 on it.
+The records (``StandardFormParams``, ``ValidityReport``, the verdict,
+report, config and result classes) store any value unchecked, and a flag
+(``require_physical``, ``rescale``) is read for its truth.
 Out of contract, with no guard and no promised error: a non-state where
 a ``GaussianState`` is expected, a non-``StandardFormParams``, a
-non-array passed to ``min_heisenberg_eigenvalue``, and anything but a
-non-negative int passed to ``symplectic_form``.
+non-``Bipartition`` split to ``ppt_verdict`` or ``iterative_separability``,
+a non-transform to ``apply`` and a non-``PipelineConfig`` to
+``run_pipeline`` (each raises ``AttributeError``); a non-``QPlateSpec`` to
+``qplate_transform`` or ``qplate_pairing`` (``AttributeError`` or
+``TypeError``); a non-register to ``load_cov_csv`` (``TypeError`` or
+``ParseError``); the ``sn`` of ``sigma4_closed_form``; a non-array passed
+to ``min_heisenberg_eigenvalue``; anything but a non-negative int passed to
+``symplectic_form``; and a spectrum entry of 0 or below passed to
+``log_negativity_from_spectrum``, where numpy warns and returns inf or nan.
 """
 
 

@@ -321,6 +321,9 @@ def _report_json(report):
             f'"register":[{",".join(tags)}]}}')
 
 
+_MARKS = {Status.ENTANGLED: "E", Status.SEPARABLE: "S", Status.INCONCLUSIVE: "?"}
+
+
 def _render_text(report):
     lines = []
     tags = report.tags
@@ -328,22 +331,12 @@ def _render_text(report):
         n = len(tags)
         width = max(6, max(len(t) for t in tags) + 2)
         lines.append("Pairwise entanglement (two-mode marginals):")
-        header = " " * width + "".join(t.rjust(width) for t in tags)
-        lines.append(header)
+        lines.append(" " * width + "".join(t.rjust(width) for t in tags))
         for i in range(n):
-            cells = []
-            for j in range(n):
-                if i == j:
-                    cells.append("-".rjust(width))
-                else:
-                    v = report.pair(i, j)
-                    mark = {"entangled": "E", "separable": "S",
-                            "inconclusive": "?"}[v.status.value]
-                    cells.append(mark.rjust(width))
-            lines.append(tags[i].ljust(width) + "".join(cells))
+            marks = ["-" if i == j else _MARKS[report.pair(i, j).status] for j in range(n)]
+            lines.append(tags[i].ljust(width) + "".join(m.rjust(width) for m in marks))
         lines.append("")
-        lines.append(f"{'pair':<12}{'status':<14}{'witness':>10}"
-                     f"{'log-neg':>10}")
+        lines.append(f"{'pair':<12}{'status':<14}{'witness':>10}{'log-neg':>10}")
         for (i, j), v in sorted(report.pairwise.items()):
             lines.append(
                 f"{tags[i] + ',' + tags[j]:<12}{v.status.value:<14}"
@@ -355,9 +348,7 @@ def _render_text(report):
         for split, v in report.bipartitions:
             left = ",".join(tags[k] for k in split.side_a)
             right = ",".join(tags[k] for k in split.side_b)
-            extra = ""
-            if v.iterations is not None:
-                extra = f"  iterations {v.iterations}"
+            extra = "" if v.iterations is None else f"  iterations {v.iterations}"
             lines.append(
                 f"  {left} | {right:<18} {v.status.value:<14}"
                 f"witness {_fmt(v.witness)}  log-neg "
@@ -365,8 +356,7 @@ def _render_text(report):
             )
         lines.append("")
     if not report.pairwise and not report.bipartitions:
-        lines.append("(empty report)")
-        lines.append("")
+        lines += ["(empty report)", ""]
     return "\n".join(lines)
 
 

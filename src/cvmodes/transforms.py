@@ -435,6 +435,8 @@ def opo_source(r, eta=1.0):
     ValueError
         If ``r`` or ``eta`` is not a number by the rule of
         :mod:`cvmodes.errors`, is out of range, or ``cosh(2r)`` overflows.
+    PhysicalityViolation
+        If ``r`` is NaN or infinite, as from :func:`make_standard_form`.
     """
     if not _is_number(r) or r < 0:
         raise ValueError(f"squeezing parameter must be >= 0, got {_shown(r, str)}")

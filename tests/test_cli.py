@@ -129,6 +129,19 @@ def test_validate_csv_needs_register(tmp_path, capsys):
     assert main(["validate", str(path), "--register", "a:H:0,b:V:0"]) == 0
 
 
+@pytest.mark.parametrize("name", ["S.CSV", "s.Csv"])
+def test_csv_extension_is_matched_in_any_case(tmp_path, capsys, name):
+    path = tmp_path / name
+    cov = make_standard_form(EXP).cov
+    path.write_text("\n".join(",".join(repr(float(v)) for v in row) for row in cov))
+    assert main(["--format", "json", "validate", str(path), "--register", "a:H:0,b:V:0"]) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and json.loads(out)["register"] == ["a", "b"]
+    # read as CSV, so without a register it asks for one
+    assert main(["validate", str(path)]) == 2
+    assert "pass the register via --register" in capsys.readouterr().err
+
+
 def test_rescale_flag(tmp_path, capsys):
     doc = state_to_dict(make_standard_form(EXP))
     doc["convention"]["sn"] = 1.0

@@ -1,4 +1,6 @@
+import importlib
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -34,7 +36,8 @@ from cvmodes import (
     vacuum_state,
     validate,
 )
-from cvmodes import core, transforms
+import cvmodes
+from cvmodes import cli, core, entanglement, fixtures, transforms
 from cvmodes.errors import (
     CVModesError,
     DimensionMismatch,
@@ -701,10 +704,63 @@ def test_heisenberg_floor_of_one_matrix_is_a_float():
 
 
 def test_i_symplectic_form_is_cached_and_read_only():
-    i_omega = core._i_symplectic_form(3)
-    assert core._i_symplectic_form(3) is i_omega
+    omega, i_omega = core._symplectic_forms(3)
+    assert omega is symplectic_form(3)
     assert not i_omega.flags.writeable
     assert np.array_equal(i_omega, 1j * symplectic_form(3))
+
+
+# every function-level cache of the package, with a call that fills it
+CACHES = {
+    "cli._parser": cli._parser,
+    "core._selection": lambda: core._selection(two_mode_register(), (1, 0)),
+    "core._symplectic_forms": lambda: core._symplectic_forms(3),
+    "entanglement._pairs": lambda: entanglement._pairs(4),
+    "entanglement._splits": lambda: entanglement._splits(4),
+    "fixtures._read": lambda: fixtures._read("vacuum4"),
+    "transforms._circular_register": lambda: transforms._circular_register(
+        two_mode_register()),
+    "transforms._extended_register": lambda: transforms._extended_register(
+        two_mode_register(), (ModeLabel("H", 1, "c"),)),
+    "transforms._qplate_layout": lambda: transforms._qplate_layout(1, circular_register()),
+    "transforms._qplate_transform": lambda: transforms._qplate_transform(
+        QPlateSpec(0.5, 1.0), circular_register()),
+}
+# public functions that promise the same object on every call, over no cache
+# of their own
+SAME_OBJECT = {
+    "core.two_mode_register": two_mode_register,
+    "core.symplectic_form": lambda: symplectic_form(3),
+    "fixtures.load_state_fixture": lambda: fixtures.load_state_fixture("vacuum4"),
+}
+
+
+def _package_namespaces():
+    # (module name without the package prefix, namespace) of every cvmodes module
+    for info in pkgutil.walk_packages(cvmodes.__path__, "cvmodes."):
+        module = importlib.import_module(info.name)
+        yield info.name.removeprefix("cvmodes."), module
+
+
+def test_no_public_function_is_a_cache_wrapper():
+    # a public function stays plain, so the per-layer tracer of perfbench
+    # can wrap it; its constants live in a private cache listed in CACHES
+    public, cached = [], []
+    for name, module in [("cvmodes", cvmodes), *_package_namespaces()]:
+        for key, obj in vars(module).items():
+            if hasattr(obj, "cache_info"):
+                if not key.startswith("_"):
+                    public.append(f"{name}.{key}")
+                elif obj.__module__ == module.__name__:
+                    cached.append(f"{name}.{key}")
+    assert public == []
+    assert sorted(cached) == sorted(CACHES)
+
+
+@pytest.mark.parametrize("name", [*CACHES, *SAME_OBJECT])
+def test_each_cache_and_constant_gives_one_object(name):
+    call = {**CACHES, **SAME_OBJECT}[name]
+    assert call() is call()
 
 
 def test_measure_fills_the_reports_a_lazy_validity_would_give(monkeypatch):

@@ -1004,7 +1004,7 @@ def _state_bits(state):
 
 
 @pytest.mark.parametrize("name", fixtures.STATE_FIXTURES)
-def test_loaded_states_are_fresh_read_only_and_checked_once(name, fresh_fixture_cache):
+def test_loaded_states_are_shared_read_only_and_checked_once(name, fresh_fixture_cache):
     one, two = fixtures.load_state_fixture(name), fixtures.load_state_fixture(name)
     assert one is two
     for state in (one, two):
